@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # CI gate for axmlx: warnings-as-errors build, full test suite, project
-# linter (plus a machine-readable `axmlx_lint --json` artifact), a perf
-# smoke stage (which includes the bench_obs_overhead flight-recorder budget
+# linter (plus a machine-readable `axmlx_lint --json` artifact), the
+# end-to-end benchmark's self-test, a perf smoke stage (which includes the bench_obs_overhead flight-recorder budget
 # gate), an end-to-end forensics render, the fault-injection suites under
 # ASan/UBSan, and finally the fault+mvcc suites under TSan
 # (-DAXMLX_SANITIZE=thread). Exits non-zero on the first failure. See
@@ -38,6 +38,15 @@ step "static analysis artifact (axmlx_lint --json src)"
 LINT_JSON="${CHECK_LINT_JSON:-$BUILD_DIR/lint-findings.json}"
 "$BUILD_DIR/tools/axmlx_lint" --json src > "$LINT_JSON"
 echo "lint findings artifact: $LINT_JSON"
+
+step "end-to-end benchmark self-test (e2ebench/run.py --selftest)"
+# e2ebench/ is a separate CMake package that compiles src/ itself and
+# drives JobQueue / ConcurrentExecutor directly, so an API change that
+# breaks it must fail here rather than at the next benchmark run. The
+# self-test feeds every output check a wrong answer, then runs one round of
+# each workload and validates its reports with axmlx_report --check.
+CARGO_TARGET_DIR="$BUILD_DIR" python3 e2ebench/run.py --selftest \
+  --workdir "$BUILD_DIR/e2ebench-work"
 
 step "bench smoke (--smoke reports validated by axmlx_report --check)"
 BUILD_ABS="$(cd "$BUILD_DIR" && pwd)"

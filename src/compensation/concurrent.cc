@@ -76,18 +76,10 @@ Result<const ops::OpEffect*> ConcurrentExecutor::ExecuteImpl(
   if (timeline_ != nullptr) {
     timeline_->Enter(t.label, obs::kPhaseConflictCheck, timeline_now_);
   }
-  // The check itself always runs here, serialized on the caller (under the
-  // runtime, inside the job's apply stage); RunInline only adds typed
-  // accounting so conflict checks show up as kJobConflictCheck work.
-  std::optional<ops::Conflict> conflict;
-  auto check = [&] {
-    conflict = table_.CheckEffect(*doc_, result.value(), txn, t.snapshot);
-  };
-  if (runtime_ != nullptr) {
-    runtime_->RunInline(runtime::JobType::kJobConflictCheck, t.label, check);
-  } else {
-    check();
-  }
+  // Serialized on the caller (under the runtime, inside the job's apply
+  // stage).
+  std::optional<ops::Conflict> conflict =
+      table_.CheckEffect(*doc_, result.value(), txn, t.snapshot);
   if (timeline_ != nullptr) {
     timeline_->Exit(t.label, obs::kPhaseConflictCheck, ++timeline_now_);
   }
@@ -125,7 +117,6 @@ std::vector<ConcurrentExecutor::BatchOutcome> ConcurrentExecutor::ExecuteBatch(
       auto it = txns_.find(batch[i].txn);
       runtime::Job job;
       job.type = runtime::JobType::kJobEval;
-      job.txn = it != txns_.end() ? it->second.label : std::string();
       // Repeat ops of one transaction stay unprepared: their apply stage
       // then runs the full synchronous path and sees the transaction's
       // earlier same-batch writes live instead of through the stale
@@ -200,25 +191,17 @@ Status ConcurrentExecutor::CompensateAndEnd(TxnHandle txn, Txn* t,
   }
   Status status = Status::Ok();
   if (!t->log.empty()) {
-    auto compensate = [&] {
-      CompensationPlan plan = CompensationBuilder::ForLog(t->log);
-      // Compensation runs against the *live* document (open nesting: our
-      // writes are already visible), under our writer tag so other snapshots
-      // treat the undo like any concurrent write.
-      doc_->SetWriter(txn);
-      ops::Executor exec(doc_, invoker_);
-      query::EvalContext live_ctx;
-      exec.SetEvalContext(&live_ctx);
-      exec.SetRecorder(recorder_);
-      status = ApplyPlan(&exec, plan);
-      doc_->SetWriter(0);
-    };
-    if (runtime_ != nullptr) {
-      runtime_->RunInline(runtime::JobType::kJobCompensation, t->label,
-                          compensate);
-    } else {
-      compensate();
-    }
+    CompensationPlan plan = CompensationBuilder::ForLog(t->log);
+    // Compensation runs against the *live* document (open nesting: our
+    // writes are already visible), under our writer tag so other snapshots
+    // treat the undo like any concurrent write.
+    doc_->SetWriter(txn);
+    ops::Executor exec(doc_, invoker_);
+    query::EvalContext live_ctx;
+    exec.SetEvalContext(&live_ctx);
+    exec.SetRecorder(recorder_);
+    status = ApplyPlan(&exec, plan);
+    doc_->SetWriter(0);
   }
   if (timeline_ != nullptr) {
     timeline_->Enter(t->label, obs::kPhaseCompensation, timeline_now_);

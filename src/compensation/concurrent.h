@@ -131,8 +131,7 @@ class ConcurrentExecutor {
   void AttachTimeline(obs::Timeline* timeline) { timeline_ = timeline; }
 
   /// Attaches the worker pool ExecuteBatch parallelizes over (not owned;
-  /// null detaches). Also routes conflict-check and compensation work
-  /// through JobQueue::RunInline for typed job accounting.
+  /// null detaches).
   void AttachRuntime(runtime::JobQueue* rt) { runtime_ = rt; }
 
   /// Elapsed ticks of the logical op clock driving the timeline stamps

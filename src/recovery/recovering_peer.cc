@@ -40,7 +40,8 @@ void RecoveringPeer::OnChildFailure(Ctx* ctx, ChildEdge* edge,
             }
             // Record the new target immediately so duplicate failure
             // detections (keep-alive + redirected results) for the old peer
-            // no longer match this edge.
+            // no longer match this edge; InvokeChild re-watches the target.
+            ReleaseChild(edge);
             edge->invoked_peer = target;
             const std::string txn = ctx->txn;
             const size_t edge_index =
@@ -74,7 +75,7 @@ void RecoveringPeer::OnChildFailure(Ctx* ctx, ChildEdge* edge,
       // recovery succeeds here and undoing stops ("undo only as much as
       // required", §3.2).
       edge->state = ChildEdge::State::kAbsorbed;
-      edge->invoked_peer.clear();
+      ReleaseChild(edge);
       ++counters()->forward_recoveries;
       if (spans() != nullptr) {
         uint64_t rec = spans()->OpenSpan(ctx->txn, id(), obs::kSpanRecovery,

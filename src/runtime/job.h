@@ -2,7 +2,6 @@
 #define AXMLX_RUNTIME_JOB_H_
 
 #include <functional>
-#include <string>
 
 #include "query/eval.h"
 
@@ -10,28 +9,21 @@ namespace axmlx::runtime {
 
 /// Typed job priorities for the worker-pool runtime (DESIGN.md §11).
 ///
-/// Table order IS scheduling priority: within one wave the queue runs apply
-/// stages in ascending (type, submission) order, so recovery work preempts
-/// compensation, compensation preempts conflict checking, and so on down to
-/// service calls — deliberately the same ranking as the obs/timeline.h
-/// kPhase* attribution table, so "what ran first" and "what the latency is
-/// attributed to" never disagree. Every JobType has a `job.<name>.*` metric
-/// family (queue-depth gauge + run-latency histogram) registered in
-/// obs/metric_names.h.
+/// Only work that has a concurrent stage is a job: operation evaluation
+/// (comp::ConcurrentExecutor::ExecuteBatch) and service calls
+/// (bench_parallel_runtime). Table order IS scheduling priority: within one
+/// wave the queue runs apply stages in ascending (type, submission) order.
+/// Every JobType has a `job.<name>.*` metric family (queue-depth gauge +
+/// run-latency histogram) registered in obs/metric_names.h.
 enum class JobType {
-  kJobRecovery = 0,
-  kJobCompensation,
-  kJobConflictCheck,
-  kJobWalAppend,
-  kJobFlush,
-  kJobEval,
+  kJobEval = 0,
   kJobServiceCall,
 };
 
-inline constexpr int kJobTypeCount = 7;
+inline constexpr int kJobTypeCount = 2;
 
-/// Lowercase metric segment for `type` ("eval", "wal_append", ...), a
-/// static string.
+/// Lowercase metric segment for `type` ("eval", "service_call"), a static
+/// string.
 const char* JobTypeName(JobType type);
 
 /// The `job.<type>.queue_depth` / `job.<type>.run_us` metric names for
@@ -55,21 +47,10 @@ struct WorkerContext {
 /// (in seed-shuffled order in deterministic mode) and must only read shared
 /// state and write job-local state through its WorkerContext; `apply` runs
 /// on the coordinator, serialized in canonical (type, submission) order,
-/// and is where all shared-state mutation, metrics, timeline, and
-/// flight-recorder activity belongs. Either stage may be empty.
+/// and is where all shared-state mutation belongs. Either stage may be
+/// empty.
 struct Job {
   JobType type = JobType::kJobEval;
-
-  /// Timeline key: the transaction this work belongs to (empty = none). A
-  /// QUEUE_WAIT claim is opened at Submit and released when the job leaves
-  /// the queue, so queueing delay is attributed (obs/timeline.h).
-  std::string txn;
-
-  /// Flight-recorder key: the peer whose ring records the JOB_RUN event
-  /// (empty = none). Events are stamped by the coordinator at apply time
-  /// and carry the executing worker id as `arg`, so per-worker activity
-  /// merges into the existing (time, seq) order.
-  std::string peer;
 
   /// Concurrent stage: read-only over shared state (see class comment).
   std::function<void(WorkerContext&)> work;

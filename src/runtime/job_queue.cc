@@ -5,10 +5,8 @@
 #include <utility>
 
 #include "common/rng.h"
-#include "obs/flight_recorder.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "obs/timeline.h"
 
 namespace axmlx::runtime {
 
@@ -25,8 +23,7 @@ int64_t NowUs() {
 }
 
 /// Wall-clock run-latency buckets for job.<type>.run_us. Local work in the
-/// simulator is microsecond-scale; service stubs and flushes reach
-/// milliseconds.
+/// simulator is microsecond-scale; service stubs reach milliseconds.
 std::vector<int64_t> RunUsBuckets() {
   return {1, 2, 4, 7, 12, 20, 35, 60, 100, 170, 300, 500,
           850, 1400, 2400, 4000, 7000, 12000, 20000, 35000, 60000, 100000};
@@ -36,16 +33,6 @@ std::vector<int64_t> RunUsBuckets() {
 
 const char* JobTypeName(JobType type) {
   switch (type) {
-    case JobType::kJobRecovery:
-      return "recovery";
-    case JobType::kJobCompensation:
-      return "compensation";
-    case JobType::kJobConflictCheck:
-      return "conflict_check";
-    case JobType::kJobWalAppend:
-      return "wal_append";
-    case JobType::kJobFlush:
-      return "flush";
     case JobType::kJobEval:
       return "eval";
     case JobType::kJobServiceCall:
@@ -56,16 +43,6 @@ const char* JobTypeName(JobType type) {
 
 const char* JobTypeQueueDepthMetric(JobType type) {
   switch (type) {
-    case JobType::kJobRecovery:
-      return obs::kMetricJobRecoveryQueueDepth;
-    case JobType::kJobCompensation:
-      return obs::kMetricJobCompensationQueueDepth;
-    case JobType::kJobConflictCheck:
-      return obs::kMetricJobConflictCheckQueueDepth;
-    case JobType::kJobWalAppend:
-      return obs::kMetricJobWalAppendQueueDepth;
-    case JobType::kJobFlush:
-      return obs::kMetricJobFlushQueueDepth;
     case JobType::kJobEval:
       return obs::kMetricJobEvalQueueDepth;
     case JobType::kJobServiceCall:
@@ -76,16 +53,6 @@ const char* JobTypeQueueDepthMetric(JobType type) {
 
 const char* JobTypeRunUsMetric(JobType type) {
   switch (type) {
-    case JobType::kJobRecovery:
-      return obs::kMetricJobRecoveryRunUs;
-    case JobType::kJobCompensation:
-      return obs::kMetricJobCompensationRunUs;
-    case JobType::kJobConflictCheck:
-      return obs::kMetricJobConflictCheckRunUs;
-    case JobType::kJobWalAppend:
-      return obs::kMetricJobWalAppendRunUs;
-    case JobType::kJobFlush:
-      return obs::kMetricJobFlushRunUs;
     case JobType::kJobEval:
       return obs::kMetricJobEvalRunUs;
     case JobType::kJobServiceCall:
@@ -109,8 +76,8 @@ JobQueue::JobQueue(JobQueueOptions options) : options_(options) {
 
 JobQueue::~JobQueue() {
   // Best effort: run whatever is still queued so no submitter's jobs
-  // dangle. Owners (repository, drill harness) destroy the queue after
-  // quiescence, where this is a no-op.
+  // dangle. ExecuteBatch drains before it returns, so this is normally a
+  // no-op.
   if (!draining_) Drain();
   if (!threads_.empty()) {
     {
@@ -139,9 +106,6 @@ void JobQueue::AttachMetrics(obs::MetricsRegistry* metrics) {
 
 void JobQueue::Submit(Job job) {
   const int type = static_cast<int>(job.type);
-  if (timeline_ != nullptr && !job.txn.empty()) {
-    timeline_->Enter(job.txn, obs::kPhaseQueueWait, timeline_->now());
-  }
   Queued q;
   q.job = std::move(job);
   q.seq = next_seq_++;
@@ -203,15 +167,11 @@ void JobQueue::RunWave(std::vector<Queued> wave) {
       const int64_t t0 = NowUs();
       q.job.work(ctx);
       q.work_us = NowUs() - t0;
-      q.worker = 0;
     }
   }
 
   // --- Apply stages: coordinator, canonical order -------------------------
   for (Queued& q : wave) {
-    if (timeline_ != nullptr && !q.job.txn.empty()) {
-      timeline_->Exit(q.job.txn, obs::kPhaseQueueWait, timeline_->now());
-    }
     const int64_t t0 = NowUs();
     if (q.job.apply) q.job.apply();
     const int64_t apply_us = NowUs() - t0;
@@ -219,12 +179,8 @@ void JobQueue::RunWave(std::vector<Queued> wave) {
     if (metrics_ != nullptr) {
       ++*metrics_->GetCounter(obs::kMetricRuntimeJobsExecuted);
     }
-    ObserveRun(q.job.type, q.work_us + apply_us);
-    if (recorders_ != nullptr && !q.job.peer.empty()) {
-      recorders_->ForPeer(q.job.peer)
-          ->Record(obs::kEvFrJobRun, JobTypeName(q.job.type), /*span=*/0,
-                   /*arg=*/q.worker);
-    }
+    obs::Histogram* hist = run_us_hist_[static_cast<int>(q.job.type)];
+    if (hist != nullptr) hist->Observe(q.work_us + apply_us);
   }
 }
 
@@ -268,30 +224,11 @@ void JobQueue::WorkerLoop(int worker) {
         q.job.work(ctx);
         q.work_us = NowUs() - t0;
       }
-      q.worker = worker;
       lock.lock();
       ++done_count_;
       if (done_count_ == wave_->size()) wave_done_cv_.notify_one();
     }
   }
-}
-
-void JobQueue::RunInline(JobType type, const std::string& txn,
-                         const std::function<void()>& fn) {
-  (void)txn;  // reserved: inline runs are already inside a claimed phase
-  const int64_t t0 = NowUs();
-  fn();
-  const int64_t run_us = NowUs() - t0;
-  ++stats_.inline_runs;
-  if (metrics_ != nullptr) {
-    ++*metrics_->GetCounter(obs::kMetricRuntimeInlineRuns);
-  }
-  ObserveRun(type, run_us);
-}
-
-void JobQueue::ObserveRun(JobType type, int64_t run_us) {
-  obs::Histogram* hist = run_us_hist_[static_cast<int>(type)];
-  if (hist != nullptr) hist->Observe(run_us);
 }
 
 }  // namespace axmlx::runtime

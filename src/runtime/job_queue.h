@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -13,10 +12,8 @@
 #include "runtime/job.h"
 
 namespace axmlx::obs {
-class FlightRecorderSet;
 class Histogram;
 class MetricsRegistry;
-class Timeline;
 }  // namespace axmlx::obs
 
 namespace axmlx::runtime {
@@ -47,13 +44,13 @@ struct JobQueueOptions {
 /// apply stages form the next wave. Because both scheduling modes execute
 /// the same waves with the same apply order, and work stages may only read
 /// shared state, parallel mode is observationally identical to
-/// deterministic mode: same documents, same WAL bytes, same commit/abort
-/// decisions (tests/runtime_diff_test.cc holds this at 1/2/4/8 workers).
+/// deterministic mode: same documents, same commit/abort decisions
+/// (tests/runtime_diff_test.cc holds this at 1/2/4/8 workers).
 ///
-/// Threading contract: Submit(), Drain(), and RunInline() are
-/// coordinator-only (the simulator thread, or apply stages running on it);
-/// work stages run on pool threads and must not touch the queue. The only
-/// cross-thread state is the wave hand-off protected by `mu_`.
+/// Threading contract: Submit() and Drain() are coordinator-only (the
+/// calling thread, or apply stages running on it); work stages run on pool
+/// threads and must not touch the queue. The only cross-thread state is the
+/// wave hand-off protected by `mu_`.
 class JobQueue {
  public:
   explicit JobQueue(JobQueueOptions options = {});
@@ -62,24 +59,13 @@ class JobQueue {
   JobQueue(const JobQueue&) = delete;
   JobQueue& operator=(const JobQueue&) = delete;
 
-  /// Enqueues `job` for the next wave and opens its QUEUE_WAIT timeline
-  /// claim. Coordinator-only (callable from apply stages).
+  /// Enqueues `job` for the next wave. Coordinator-only (callable from
+  /// apply stages).
   void Submit(Job job);
 
   /// Runs waves until the queue is empty. Reentrant calls (from an apply
-  /// stage, or a component flushing its own jobs mid-drain) are no-ops:
-  /// the outer drain already owns the loop. overlay::Network calls this
-  /// after every dispatched event, making the queue empty at every event
-  /// boundary — the determinism argument's crash-point invariant.
+  /// stage) are no-ops: the outer drain already owns the loop.
   void Drain();
-
-  /// Runs `fn` immediately on the coordinator with typed accounting (the
-  /// job.<type>.run_us histogram, runtime.inline_runs) but without
-  /// queueing. For peer work that is synchronous by protocol contract —
-  /// conflict checks and compensation inside an apply stage, service-call
-  /// dispatch — so it shows up in the same job taxonomy as queued work.
-  void RunInline(JobType type, const std::string& txn,
-                 const std::function<void()>& fn);
 
   /// True while Drain() is executing (apply stages observe true).
   [[nodiscard]] bool draining() const { return draining_; }
@@ -94,7 +80,6 @@ class JobQueue {
   struct Stats {
     int64_t submitted = 0;
     int64_t executed = 0;
-    int64_t inline_runs = 0;
     int64_t waves = 0;
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
@@ -104,26 +89,12 @@ class JobQueue {
   /// detaches). Coordinator-only, like every registry in this codebase.
   void AttachMetrics(obs::MetricsRegistry* metrics);
 
-  /// Attaches the repository phase timeline (not owned; null detaches):
-  /// Submit opens a QUEUE_WAIT claim for the job's txn, released when the
-  /// job's wave starts applying.
-  void AttachTimeline(obs::Timeline* timeline) { timeline_ = timeline; }
-
-  /// Attaches the per-peer flight-recorder set (not owned; null detaches).
-  /// Each executed job stamps one JOB_RUN event into its peer's ring — at
-  /// apply time, on the coordinator, carrying the worker id as `arg` — so
-  /// worker activity merges into the existing (time, seq) order.
-  void AttachRecorders(obs::FlightRecorderSet* recorders) {
-    recorders_ = recorders;
-  }
-
  private:
   /// A job plus its submission bookkeeping.
   struct Queued {
     Job job;
-    int64_t seq = 0;        ///< Submission order (canonical tie-break).
-    int worker = 0;         ///< Which worker ran the work stage.
-    int64_t work_us = 0;    ///< Wall-clock work-stage duration.
+    int64_t seq = 0;      ///< Submission order (canonical tie-break).
+    int64_t work_us = 0;  ///< Wall-clock work-stage duration.
   };
 
   /// Runs one wave: all work stages (mode-dependent order), barrier, all
@@ -131,22 +102,17 @@ class JobQueue {
   void RunWave(std::vector<Queued> wave);
 
   /// Parallel mode: hands `wave` to the pool and blocks until every work
-  /// stage finished. Results (worker, work_us) land in the wave entries.
+  /// stage finished. Each entry's work_us lands in the wave.
   void RunWorkStagesParallel(std::vector<Queued>* wave);
 
   void WorkerLoop(int worker);
-
-  /// Coordinator-side accounting after a job or inline run finished.
-  void ObserveRun(JobType type, int64_t run_us);
 
   // Everything except the wave hand-off block below is coordinator-only by
   // the threading contract (workers see only their wave slice and their own
   // eval slot), so GUARDED_BY(mu_) would overstate the discipline — the
   // per-member lint:allow(R9) markers record that deliberately.
-  JobQueueOptions options_;                      // lint:allow(R9)
-  obs::MetricsRegistry* metrics_ = nullptr;      // lint:allow(R9)
-  obs::Timeline* timeline_ = nullptr;            // lint:allow(R9)
-  obs::FlightRecorderSet* recorders_ = nullptr;  // lint:allow(R9)
+  JobQueueOptions options_;                  // lint:allow(R9)
+  obs::MetricsRegistry* metrics_ = nullptr;  // lint:allow(R9)
 
   // Cached metric handles (rebuilt by AttachMetrics).
   obs::Histogram* run_us_hist_[kJobTypeCount] = {};  // lint:allow(R9)

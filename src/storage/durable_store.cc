@@ -5,14 +5,15 @@
 #include <sys/types.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "compensation/compensation.h"
 #include "obs/metric_names.h"
-#include "runtime/job_queue.h"
 #include "xml/parser.h"
 
 namespace axmlx::storage {
@@ -94,6 +95,18 @@ Result<std::string> ReadFile(const std::string& path) {
 bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
+}
+
+/// Parses `text` — all of it — as a decimal uint64. A numeric field a crash
+/// cut short or garbled is reported against `line`, never thrown.
+Result<uint64_t> ParseU64(std::string_view text, const std::string& line) {
+  uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) {
+    return Internal("malformed number in: " + line);
+  }
+  return value;
 }
 
 }  // namespace
@@ -240,7 +253,8 @@ Status DurableStore::LoadSnapshots() {
       // New manifests lead with "epoch <n>"; legacy manifests are epoch 0
       // and their first line is already a document name.
       if (name.rfind("epoch ", 0) == 0) {
-        epoch_ = std::stoull(name.substr(6));
+        AXMLX_ASSIGN_OR_RETURN(
+            epoch_, ParseU64(std::string_view(name).substr(6), name));
         continue;
       }
     }
@@ -269,7 +283,9 @@ Status DurableStore::ReplayWal() {
       std::string txn = rest.substr(0, sp2);
       TxnState& state = active_txns_[txn];
       if (sp2 != std::string::npos) {
-        state.begin_version = std::stoull(rest.substr(sp2 + 1));
+        AXMLX_ASSIGN_OR_RETURN(
+            state.begin_version,
+            ParseU64(std::string_view(rest).substr(sp2 + 1), line));
       }
     } else if (kind == "RESOLVED") {
       // "RESOLVED <txn> <C|A> <ops> <version>"; legacy form is just <txn>.
@@ -277,7 +293,8 @@ Status DurableStore::ReplayWal() {
       std::string txn, outcome, ops_text, version_text;
       fields >> txn >> outcome >> ops_text >> version_text;
       if (!outcome.empty()) {
-        size_t expected = std::stoull(ops_text);
+        AXMLX_ASSIGN_OR_RETURN(const uint64_t expected,
+                               ParseU64(ops_text, line));
         auto it = active_txns_.find(txn);
         size_t replayed = it == active_txns_.end() ? 0 : it->second.wal_ops;
         if (replayed != expected) {
@@ -292,7 +309,9 @@ Status DurableStore::ReplayWal() {
         }
         resolved_outcomes_[txn] = outcome == "C";
         if (!version_text.empty()) {
-          clock_ = std::max<uint64_t>(clock_, std::stoull(version_text));
+          AXMLX_ASSIGN_OR_RETURN(const uint64_t version,
+                                 ParseU64(version_text, line));
+          clock_ = std::max(clock_, version);
         }
       }
       active_txns_.erase(txn);
@@ -337,15 +356,6 @@ Status DurableStore::ReplayWal() {
 }
 
 Status DurableStore::FlushWal() {
-  // Deferred appends must reach the batch before we write it out; a nested
-  // call from inside a job's apply stage skips the barrier (Drain is a
-  // no-op there) and flushes what has applied so far.
-  if (runtime_ != nullptr) runtime_->Drain();
-  if (!wal_job_error_.ok()) return wal_job_error_;
-  return FlushWalNow();
-}
-
-Status DurableStore::FlushWalNow() {
   if (wal_batch_.empty()) return Status::Ok();
   if (!wal_.is_open()) {
     wal_.open(WalPath(directory_, epoch_), std::ios::app);
@@ -365,27 +375,7 @@ Status DurableStore::FlushWalNow() {
   return Status::Ok();
 }
 
-Status DurableStore::AppendWal(const std::string& record, bool force_flush,
-                               const std::string& txn) {
-  if (runtime_ == nullptr) return AppendWalNow(record, force_flush);
-  if (!wal_job_error_.ok()) return wal_job_error_;
-  runtime::Job job;
-  job.type = runtime::JobType::kJobWalAppend;
-  job.txn = txn;
-  job.peer = runtime_peer_;
-  // No work stage: appends are pure coordinator-side batch mutations. The
-  // apply stages run in submission order, so WAL bytes match the
-  // synchronous path exactly.
-  job.apply = [this, record, force_flush] {
-    Status s = AppendWalNow(record, force_flush);
-    if (!s.ok() && wal_job_error_.ok()) wal_job_error_ = s;
-  };
-  runtime_->Submit(std::move(job));
-  return Status::Ok();
-}
-
-Status DurableStore::AppendWalNow(const std::string& record,
-                                  bool force_flush) {
+Status DurableStore::AppendWal(const std::string& record, bool force_flush) {
   wal_batch_.append(record);
   wal_batch_.push_back('\n');
   ++batched_records_;
@@ -410,22 +400,7 @@ Status DurableStore::AppendWalNow(const std::string& record,
       break;
   }
   if (!flush_now) return Status::Ok();
-  if (runtime_ != nullptr) {
-    // Group commit as its own typed job: the flush lands in the next wave,
-    // still inside the same network event, after every append already
-    // queued — so it commits at least the records the synchronous path
-    // would have (later same-event appends may piggyback on the batch).
-    runtime::Job job;
-    job.type = runtime::JobType::kJobFlush;
-    job.peer = runtime_peer_;
-    job.apply = [this] {
-      Status s = FlushWalNow();
-      if (!s.ok() && wal_job_error_.ok()) wal_job_error_ = s;
-    };
-    runtime_->Submit(std::move(job));
-    return Status::Ok();
-  }
-  return FlushWalNow();
+  return FlushWal();
 }
 
 Status DurableStore::CreateDocument(const std::string& xml_text) {
@@ -467,8 +442,7 @@ Status DurableStore::Begin(const std::string& txn) {
     return AlreadyExists("transaction " + txn + " is already active");
   }
   AXMLX_RETURN_IF_ERROR(AppendWal("BEGIN " + txn + " " +
-                                      std::to_string(clock_),
-                                  /*force_flush=*/false, txn));
+                                  std::to_string(clock_)));
   active_txns_[txn].begin_version = clock_;
   return Status::Ok();
 }
@@ -504,8 +478,7 @@ Result<const ops::OpEffect*> DurableStore::Execute(const std::string& txn,
   // Log first, then apply (write-ahead).
   MarkPhase(txn, obs::kPhaseWalAppend);
   AXMLX_RETURN_IF_ERROR(AppendWal("OP " + txn + " " + doc + " " +
-                                      EncodeWalPayload(op.ToXml()),
-                                  /*force_flush=*/false, txn));
+                                  EncodeWalPayload(op.ToXml())));
   active_txns_[txn].wal_ops++;
   return ApplyOp(txn, doc, op);
 }
@@ -519,7 +492,7 @@ Status DurableStore::Commit(const std::string& txn) {
   AXMLX_RETURN_IF_ERROR(AppendWal(
       "RESOLVED " + txn + " C " + std::to_string(it->second.wal_ops) + " " +
           std::to_string(clock_),
-      /*force_flush=*/true, txn));
+      /*force_flush=*/true));
   resolved_outcomes_[txn] = true;
   active_txns_.erase(it);
   return Status::Ok();
@@ -535,8 +508,7 @@ Status DurableStore::CompensateTxn(const std::string& txn, bool journal) {
     for (const ops::Operation& comp_op : plan.operations) {
       if (journal) {
         AXMLX_RETURN_IF_ERROR(AppendWal("OP " + txn + " " + doc + " " +
-                                            EncodeWalPayload(comp_op.ToXml()),
-                                        /*force_flush=*/false, txn));
+                                        EncodeWalPayload(comp_op.ToXml())));
         state.wal_ops++;
       }
       xml::Document* target = Get(doc);
@@ -565,7 +537,7 @@ Status DurableStore::Abort(const std::string& txn) {
       "RESOLVED " + txn + " A " +
           std::to_string(active_txns_[txn].wal_ops) + " " +
           std::to_string(clock_),
-      /*force_flush=*/true, txn));
+      /*force_flush=*/true));
   resolved_outcomes_[txn] = false;
   active_txns_.erase(txn);
   return Status::Ok();
@@ -593,16 +565,13 @@ Status DurableStore::SeedResolution(const std::string& txn, bool committed) {
   AXMLX_RETURN_IF_ERROR(AppendWal(
       "RESOLVED " + txn + std::string(committed ? " C" : " A") + " 0 " +
           std::to_string(clock_),
-      /*force_flush=*/true, txn));
+      /*force_flush=*/true));
   resolved_outcomes_[txn] = committed;
   return Status::Ok();
 }
 
 Status DurableStore::Checkpoint() {
   if (!open_) return FailedPrecondition("store is not open");
-  // Deferred WAL jobs must land before the epoch switch discards the batch.
-  if (runtime_ != nullptr) runtime_->Drain();
-  if (!wal_job_error_.ok()) return wal_job_error_;
   if (!active_txns_.empty()) {
     return FailedPrecondition(
         "checkpoint requires all transactions resolved");

@@ -8,7 +8,6 @@
 #include "axml/materializer.h"
 #include "obs/metric_names.h"
 #include "ops/executor.h"
-#include "runtime/job_queue.h"
 
 namespace axmlx::txn {
 
@@ -221,24 +220,9 @@ void AxmlPeer::Begin(Ctx* ctx, overlay::Network* net) {
     AbortContext(ctx, "UnknownService", /*notify_parent=*/true, net);
     return;
   }
-  // The local service body is the peer's dominant compute cost; run it
-  // under kJobServiceCall accounting when the network carries a worker
-  // pool. RunInline keeps execution here — the invocation mutates the
-  // peer's documents, so it is apply-stage work by nature — but types and
-  // times it like any other job.
-  std::optional<Result<service::InvocationOutcome>> outcome_slot;
-  auto invoke = [&] {
-    outcome_slot.emplace(host_->Invoke(
-        ctx->service, ctx->params,
-        options_.use_locking ? LockIdFor(ctx->txn) : 0));
-  };
-  runtime::JobQueue* rt = net != nullptr ? net->runtime() : nullptr;
-  if (rt != nullptr) {
-    rt->RunInline(runtime::JobType::kJobServiceCall, txn, invoke);
-  } else {
-    invoke();
-  }
-  Result<service::InvocationOutcome>& outcome_or = *outcome_slot;
+  Result<service::InvocationOutcome> outcome_or =
+      host_->Invoke(ctx->service, ctx->params,
+                    options_.use_locking ? LockIdFor(ctx->txn) : 0);
   if (!outcome_or.ok()) {
     // This peer failed while processing its service — the paper's AP5
     // failing in S5 (§3.2 step 1): abort the local context and send
@@ -351,7 +335,13 @@ void AxmlPeer::InvokeChild(Ctx* ctx, ChildEdge* edge,
   if (options_.use_chaining) {
     m.headers[kHdrChain] = ctx->chain.Serialize();
   }
-  m.body = EncodeParams(edge->def.params);
+  // Sub-call parameters are templated like ops, against this context's
+  // own invocation parameters.
+  Params params = edge->def.params;
+  for (auto& [name, value] : params) {
+    value = service::SubstituteParams(value, ctx->params);
+  }
+  m.body = EncodeParams(params);
   m.attachment = ReuseFor(*ctx);
   auto sent = net->Send(std::move(m));
   if (!sent.ok()) {
@@ -1043,7 +1033,7 @@ void AxmlPeer::OnChildFailure(Ctx* ctx, ChildEdge* edge,
   // failed child's own subtree has already rolled itself back (or is
   // unreachable); mark the edge failed so no abort is sent to it.
   edge->state = ChildEdge::State::kPending;
-  edge->invoked_peer.clear();
+  ReleaseChild(edge);
   AbortContext(ctx, fault, /*notify_parent=*/true, net);
 }
 
@@ -1086,25 +1076,30 @@ void AxmlPeer::EraseContext(const std::string& txn) {
     if (!edge.invoked_peer.empty()) invoked.push_back(edge.invoked_peer);
   }
   contexts_.erase(it);
-  if (keepalive_ == nullptr) return;
-  // Stop watching children no other live context still waits on — a leaked
-  // watch keeps the keepalive monitor rescheduling itself forever, pinning
-  // the event queue (and the simulated clock) long after the transaction
-  // is resolved.
-  for (const overlay::PeerId& child : invoked) {
-    bool still_needed = false;
-    for (const auto& [other_txn, other_ctx] : contexts_) {
-      for (const ChildEdge& edge : other_ctx.children) {
-        if (edge.invoked_peer == child &&
-            edge.state == ChildEdge::State::kInvoked) {
-          still_needed = true;
-          break;
-        }
+  for (const overlay::PeerId& child : invoked) UnwatchUnlessNeeded(child);
+}
+
+void AxmlPeer::ReleaseChild(ChildEdge* edge) {
+  const overlay::PeerId child = std::move(edge->invoked_peer);
+  edge->invoked_peer.clear();
+  UnwatchUnlessNeeded(child);
+}
+
+void AxmlPeer::UnwatchUnlessNeeded(const overlay::PeerId& child) {
+  if (keepalive_ == nullptr || child.empty()) return;
+  // A leaked watch keeps the keepalive monitor rescheduling itself forever,
+  // pinning the event queue (and the simulated clock) long after the
+  // transaction is resolved — but another live context may still wait on
+  // the same child.
+  for (const auto& [txn, ctx] : contexts_) {
+    for (const ChildEdge& edge : ctx.children) {
+      if (edge.invoked_peer == child &&
+          edge.state == ChildEdge::State::kInvoked) {
+        return;
       }
-      if (still_needed) break;
     }
-    if (!still_needed) keepalive_->Unwatch(child);
   }
+  keepalive_->Unwatch(child);
 }
 
 }  // namespace axmlx::txn

@@ -357,6 +357,11 @@ class AxmlPeer : public overlay::PeerNode {
   /// compensation failures.
   void CompensateParticipants(Ctx* ctx, overlay::Network* net);
 
+  /// Detaches `edge` from the peer it invoked: clears `invoked_peer` and
+  /// stops the keep-alive watch on that peer unless another running edge
+  /// still waits on it. Call when an edge stops waiting without a result.
+  void ReleaseChild(ChildEdge* edge);
+
   Ctx* FindContext(const std::string& txn);
   void EraseContext(const std::string& txn);
 
@@ -447,6 +452,9 @@ class AxmlPeer : public overlay::PeerNode {
   void PushToReplica(const std::string& document, overlay::Network* net);
   void WatchChild(Ctx* ctx, const overlay::PeerId& child,
                   overlay::Network* net);
+  /// Stops watching `child` unless a running edge of a live context still
+  /// targets it.
+  void UnwatchUnlessNeeded(const overlay::PeerId& child);
 
   /// Stable lock id for a transaction name (used with use_locking).
   static int64_t LockIdFor(const std::string& txn);

@@ -92,6 +92,28 @@ TEST(FaultDrillTest, CrashRestartRecoversFromWalAlone) {
   EXPECT_GT(report->wal_replayed_ops, 0);
 }
 
+TEST(FaultDrillTest, AbortedChildWatchesDoNotOutliveTheirTransaction) {
+  // Depth 2 with keep-alive on: a mid-tree peer whose child sends it an
+  // abort must stop pinging that (still live) child once the transaction
+  // is gone. A leaked watch keeps the monitor rescheduling itself, so the
+  // network never goes quiescent and every later transaction ends
+  // undecided at the clock cap.
+  FaultDrillOptions options = BaseOptions("keepalive_depth2", 7);
+  options.depth = 2;
+  options.fanout = 3;
+  options.crash_every = 4;
+  options.keepalive_interval = 25;
+  options.transactions = 24;
+  FaultDrill drill(options);
+  auto report = drill.Run();
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->undecided, 0);
+  EXPECT_EQ(report->violations, 0)
+      << JoinDetails(report->violation_details);
+  EXPECT_GT(report->aborted, 0);
+  EXPECT_EQ(report->committed + report->aborted, options.transactions);
+}
+
 TEST(FaultDrillTest, EverythingAtOnceStillAtomic) {
   FaultDrillOptions options = BaseOptions("chaos", 505);
   options.drop_rate = 0.05;

@@ -1,5 +1,5 @@
 // Tests for tools/axmlx_lint: a clean miniature tree passes, and each rule
-// R1..R10 fires on a fixture seeding exactly that violation, with the
+// R1..R11 fires on a fixture seeding exactly that violation, with the
 // finding anchored to the right file and line. The cross-TU rules (R6-R10)
 // get fixture pairs split across files to prove the two-pass analyzer
 // really correlates facts between translation units.
@@ -963,6 +963,49 @@ bool IsPhaseSeries(const std::string& name) {
   EXPECT_EQ(r10[0].file, "tools/filter.cc");
   EXPECT_EQ(r10[0].line, 5);  // The unregistered series; line 4 is declared.
   EXPECT_NE(r10[0].message.find("txn.latency.parse"), std::string::npos);
+}
+
+// --- R11: no throwing conversions ------------------------------------------
+
+TEST(LintTest, R11FlagsThrowingStdConversions) {
+  std::vector<SourceFile> files = CleanTree();
+  files.push_back({"storage/replay.cc", R"cc(#include <string>
+namespace axmlx::storage {
+unsigned long long Version(const std::string& field) {
+  return std::stoull(field);
+}
+int Count(const std::string& a, const std::string& b) {
+  return std::stoi(a) + static_cast<int>(std::stod(b));
+}
+}  // namespace axmlx::storage
+)cc"});
+  const std::vector<Finding> r11 = OfRule(RunLint(files), "R11");
+  ASSERT_EQ(r11.size(), 3u) << FormatFindings(r11);
+  EXPECT_EQ(r11[0].file, "storage/replay.cc");
+  EXPECT_EQ(r11[0].line, 4);
+  EXPECT_NE(r11[0].message.find("std::stoull"), std::string::npos);
+  EXPECT_EQ(r11[1].line, 7);
+  EXPECT_NE(r11[1].message.find("std::stoi"), std::string::npos);
+  EXPECT_EQ(r11[2].line, 7);
+  EXPECT_NE(r11[2].message.find("std::stod"), std::string::npos);
+}
+
+TEST(LintTest, R11AllowsFromCharsAndNonStdNames) {
+  std::vector<SourceFile> files = CleanTree();
+  files.push_back({"storage/replay.cc", R"cc(#include <charconv>
+#include <string>
+namespace axmlx::storage {
+bool Version(const std::string& field, unsigned long long* out) {
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+int stoi_calls = 0;  // a name, not a call into std::
+int Parse(Parser* p) { return p->stoi(stoi_calls) + util::stoull(1); }
+}  // namespace axmlx::storage
+)cc"});
+  const std::vector<Finding> r11 = OfRule(RunLint(files), "R11");
+  EXPECT_TRUE(r11.empty()) << FormatFindings(r11);
 }
 
 // --- Suppression granularity and output formats ----------------------------

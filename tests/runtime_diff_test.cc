@@ -1,8 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
-#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -10,7 +7,6 @@
 
 #include "compensation/concurrent.h"
 #include "ops/operation.h"
-#include "repo/fault_drill.h"
 #include "runtime/job_queue.h"
 #include "xml/document.h"
 #include "xml/parser.h"
@@ -21,10 +17,10 @@ namespace {
 // Differential oracle for the parallel runtime (DESIGN.md §11): the same
 // workload run with no runtime, with the deterministic scheduler under
 // several seeds, and with 1/2/4/8 real worker threads must produce
-// byte-identical documents, identical commit/abort decisions, and (through
-// the fault drill) byte-identical WALs. This is the same methodology as
-// query::naive for the indexed evaluator — an independent execution mode
-// whose agreement is checked on every schedule, not argued once.
+// byte-identical documents and identical commit/abort decisions. This is
+// the same methodology as query::naive for the indexed evaluator — an
+// independent execution mode whose agreement is checked on every schedule,
+// not argued once.
 
 constexpr int kSections = 6;
 
@@ -172,96 +168,6 @@ TEST_P(BatchDifferential, AllSchedulingModesProduceTheSameTrace) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchDifferential,
                          ::testing::Values(7u, 1234u, 987654u));
-
-// --- Fault-drill WAL differential -------------------------------------------
-
-/// Every wal*.log under `root`, keyed by path relative to `root` — the
-/// drill's full durable history across peers and crash incarnations.
-std::map<std::string, std::string> CollectWals(const std::string& root) {
-  std::map<std::string, std::string> wals;
-  std::error_code ec;
-  for (auto it = std::filesystem::recursive_directory_iterator(root, ec);
-       !ec && it != std::filesystem::recursive_directory_iterator(); ++it) {
-    if (!it->is_regular_file()) continue;
-    const std::string name = it->path().filename().string();
-    if (name.rfind("wal", 0) != 0 || name.find(".log") == std::string::npos) {
-      continue;
-    }
-    std::ifstream in(it->path(), std::ios::binary);
-    std::ostringstream contents;
-    contents << in.rdbuf();
-    wals[std::filesystem::relative(it->path(), root).string()] =
-        contents.str();
-  }
-  return wals;
-}
-
-struct DrillResult {
-  repo::FaultDrillReport report;
-  std::map<std::string, std::string> wals;
-};
-
-DrillResult RunDrill(int runtime_workers, uint64_t runtime_seed,
-                     const std::string& tag) {
-  repo::FaultDrillOptions options;
-  options.depth = 1;
-  options.fanout = 2;
-  options.transactions = 8;
-  options.ops_per_service = 2;
-  options.drop_rate = 0.05;
-  options.delay_max = 3;
-  options.crash_every = 4;  // two crash/recover cycles
-  options.seed = 813;       // shared: the fault schedule must be identical
-  options.runtime_workers = runtime_workers;
-  options.runtime_seed = runtime_seed;
-  options.storage_dir = std::filesystem::temp_directory_path().string() +
-                        "/axmlx_runtime_diff_" + tag;
-  repo::FaultDrill drill(options);
-  auto report = drill.Run();
-  EXPECT_TRUE(report.ok()) << report.status();
-  DrillResult out;
-  out.report = *report;
-  out.wals = CollectWals(options.storage_dir);
-  std::error_code ec;
-  std::filesystem::remove_all(options.storage_dir, ec);
-  return out;
-}
-
-TEST(FaultDrillDifferential, WalBytesAndDecisionsMatchAcrossModes) {
-  // Baseline: the original synchronous path (no runtime at all).
-  DrillResult base = RunDrill(/*runtime_workers=*/-1, 1, "sync");
-  EXPECT_EQ(base.report.violations, 0);
-  EXPECT_GT(base.report.committed, 0);
-  EXPECT_EQ(base.report.crashes, 2);
-  ASSERT_FALSE(base.wals.empty());
-
-  struct Mode {
-    int workers;
-    uint64_t seed;
-    const char* tag;
-  };
-  const Mode modes[] = {
-      {0, 1, "det1"}, {0, 77, "det77"}, {1, 1, "par1"},
-      {2, 1, "par2"}, {4, 1, "par4"},   {8, 1, "par8"},
-  };
-  for (const Mode& mode : modes) {
-    DrillResult got = RunDrill(mode.workers, mode.seed, mode.tag);
-    EXPECT_EQ(got.report.committed, base.report.committed) << mode.tag;
-    EXPECT_EQ(got.report.aborted, base.report.aborted) << mode.tag;
-    EXPECT_EQ(got.report.undecided, base.report.undecided) << mode.tag;
-    EXPECT_EQ(got.report.violations, 0) << mode.tag;
-    EXPECT_EQ(got.report.wal_replayed_ops, base.report.wal_replayed_ops)
-        << mode.tag;
-    // The decisive check: every peer's WAL, across every crash
-    // incarnation, is byte-identical to the synchronous run's.
-    ASSERT_EQ(got.wals.size(), base.wals.size()) << mode.tag;
-    for (const auto& [path, bytes] : base.wals) {
-      auto it = got.wals.find(path);
-      ASSERT_NE(it, got.wals.end()) << mode.tag << " missing " << path;
-      EXPECT_EQ(it->second, bytes) << mode.tag << " diverged in " << path;
-    }
-  }
-}
 
 }  // namespace
 }  // namespace axmlx

@@ -7,10 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "compensation/concurrent.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "ops/operation.h"
 #include "runtime/job.h"
 #include "runtime/job_queue.h"
+#include "xml/parser.h"
 
 namespace axmlx::runtime {
 namespace {
@@ -27,19 +30,18 @@ Job MakeJob(JobType type, std::function<void()> apply) {
 TEST(JobQueue, AppliesRunInTypePriorityThenSubmissionOrder) {
   JobQueue queue;  // deterministic mode
   std::vector<std::string> order;
-  // Submitted deliberately against priority: eval first, recovery last.
+  // Submitted deliberately against priority: service calls first.
+  queue.Submit(
+      MakeJob(JobType::kJobServiceCall, [&] { order.push_back("call0"); }));
   queue.Submit(MakeJob(JobType::kJobEval, [&] { order.push_back("eval0"); }));
-  queue.Submit(MakeJob(JobType::kJobFlush, [&] { order.push_back("flush"); }));
+  queue.Submit(
+      MakeJob(JobType::kJobServiceCall, [&] { order.push_back("call1"); }));
   queue.Submit(MakeJob(JobType::kJobEval, [&] { order.push_back("eval1"); }));
-  queue.Submit(
-      MakeJob(JobType::kJobWalAppend, [&] { order.push_back("wal"); }));
-  queue.Submit(
-      MakeJob(JobType::kJobRecovery, [&] { order.push_back("recovery"); }));
   queue.Drain();
-  EXPECT_EQ(order, (std::vector<std::string>{"recovery", "wal", "flush",
-                                             "eval0", "eval1"}));
-  EXPECT_EQ(queue.stats().submitted, 5);
-  EXPECT_EQ(queue.stats().executed, 5);
+  EXPECT_EQ(order, (std::vector<std::string>{"eval0", "eval1", "call0",
+                                             "call1"}));
+  EXPECT_EQ(queue.stats().submitted, 4);
+  EXPECT_EQ(queue.stats().executed, 4);
   EXPECT_EQ(queue.stats().waves, 1);
   EXPECT_EQ(queue.pending(), 0u);
 }
@@ -47,15 +49,14 @@ TEST(JobQueue, AppliesRunInTypePriorityThenSubmissionOrder) {
 TEST(JobQueue, JobsSubmittedDuringApplyFormTheNextWave) {
   JobQueue queue;
   std::vector<std::string> order;
-  queue.Submit(MakeJob(JobType::kJobEval, [&] {
+  queue.Submit(MakeJob(JobType::kJobServiceCall, [&] {
     order.push_back("first");
     // Higher priority than the wave-mate below, but a wave is a barrier:
     // this lands in wave 2, after everything already queued.
-    queue.Submit(
-        MakeJob(JobType::kJobRecovery, [&] { order.push_back("late"); }));
+    queue.Submit(MakeJob(JobType::kJobEval, [&] { order.push_back("late"); }));
   }));
   queue.Submit(
-      MakeJob(JobType::kJobEval, [&] { order.push_back("second"); }));
+      MakeJob(JobType::kJobServiceCall, [&] { order.push_back("second"); }));
   queue.Drain();
   EXPECT_EQ(order, (std::vector<std::string>{"first", "second", "late"}));
   EXPECT_EQ(queue.stats().waves, 2);
@@ -83,6 +84,42 @@ TEST(JobQueue, DestructorRunsWhatIsStillQueued) {
     queue.Submit(MakeJob(JobType::kJobEval, [&] { ran = true; }));
   }
   EXPECT_TRUE(ran);
+}
+
+// --- The empty-queue invariant ----------------------------------------------
+
+// ExecuteBatch is the queue's only submitter and drains before it returns,
+// so no job outlives the batch that submitted it — in either mode, and
+// whichever entries fail or lose a conflict.
+TEST(JobQueue, ExecuteBatchLeavesTheQueueEmpty) {
+  for (int workers : {0, 4}) {
+    JobQueueOptions options;
+    options.workers = workers;
+    JobQueue queue(options);
+    auto doc = xml::Parse("<inv><s><n>a</n></s><s><n>b</n></s></inv>");
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    comp::ConcurrentExecutor exec(doc->get(), /*invoker=*/nullptr);
+    exec.AttachRuntime(&queue);
+    const std::string in_a = "Select s from s in inv/s where s/n = a";
+    const comp::TxnHandle t1 = exec.Begin("t1");
+    const comp::TxnHandle t2 = exec.Begin("t2");
+    const comp::TxnHandle t3 = exec.Begin("t3");
+    std::vector<comp::ConcurrentExecutor::BatchOp> batch = {
+        {t1, ops::MakeInsert(in_a, "<e/>")},
+        {t2, ops::MakeInsert("Select", "<e/>")},  // unparsable location
+        {t3, ops::MakeInsert(in_a, "<f/>")},      // loses to t1
+    };
+    std::vector<comp::ConcurrentExecutor::BatchOutcome> out =
+        exec.ExecuteBatch(batch);
+    EXPECT_EQ(queue.pending(), 0u) << workers << " workers";
+    EXPECT_FALSE(queue.draining());
+    EXPECT_EQ(queue.stats().executed, queue.stats().submitted);
+    ASSERT_EQ(out.size(), 3u);
+    EXPECT_TRUE(out[0].status.ok()) << out[0].status;
+    EXPECT_FALSE(out[1].status.ok());
+    EXPECT_FALSE(comp::IsWriteConflict(out[1].status)) << out[1].status;
+    EXPECT_TRUE(comp::IsWriteConflict(out[2].status)) << out[2].status;
+  }
 }
 
 // --- Deterministic mode: the seed permutes work order only ------------------
@@ -188,35 +225,21 @@ TEST(JobQueue, MetricsCountSubmissionsExecutionsAndDepths) {
   queue.AttachMetrics(&metrics);
   EXPECT_EQ(metrics.GetGauge(obs::kMetricRuntimeWorkers)->value(), 0);
   queue.Submit(MakeJob(JobType::kJobEval, [] {}));
-  queue.Submit(MakeJob(JobType::kJobWalAppend, [] {}));
+  queue.Submit(MakeJob(JobType::kJobServiceCall, [] {}));
   queue.Submit(MakeJob(JobType::kJobEval, [] {}));
   EXPECT_EQ(metrics.GetGauge(obs::kMetricJobEvalQueueDepth)->value(), 2);
-  EXPECT_EQ(metrics.GetGauge(obs::kMetricJobWalAppendQueueDepth)->value(), 1);
+  EXPECT_EQ(metrics.GetGauge(obs::kMetricJobServiceCallQueueDepth)->value(),
+            1);
   queue.Drain();
   EXPECT_EQ(metrics.GetGauge(obs::kMetricJobEvalQueueDepth)->value(), 0);
-  EXPECT_EQ(metrics.GetGauge(obs::kMetricJobWalAppendQueueDepth)->value(), 0);
+  EXPECT_EQ(metrics.GetGauge(obs::kMetricJobServiceCallQueueDepth)->value(),
+            0);
   EXPECT_EQ(metrics.GetCounter(obs::kMetricRuntimeJobsSubmitted)->value(), 3);
   EXPECT_EQ(metrics.GetCounter(obs::kMetricRuntimeJobsExecuted)->value(), 3);
   EXPECT_EQ(metrics.GetCounter(obs::kMetricRuntimeWaves)->value(), 1);
   auto snap = metrics.Snapshot();
   EXPECT_EQ(snap.histograms.at(obs::kMetricJobEvalRunUs).count, 2);
-  EXPECT_EQ(snap.histograms.at(obs::kMetricJobWalAppendRunUs).count, 1);
-}
-
-TEST(JobQueue, RunInlineIsTypedAccountingWithoutQueueing) {
-  obs::MetricsRegistry metrics;
-  JobQueue queue;
-  queue.AttachMetrics(&metrics);
-  bool ran = false;
-  queue.RunInline(JobType::kJobConflictCheck, "T1", [&] { ran = true; });
-  EXPECT_TRUE(ran);
-  EXPECT_EQ(queue.pending(), 0u);
-  EXPECT_EQ(queue.stats().inline_runs, 1);
-  EXPECT_EQ(metrics.GetCounter(obs::kMetricRuntimeInlineRuns)->value(), 1);
-  auto snap = metrics.Snapshot();
-  EXPECT_EQ(snap.histograms.at(obs::kMetricJobConflictCheckRunUs).count, 1);
-  // Inline runs never count as queued jobs.
-  EXPECT_EQ(metrics.GetCounter(obs::kMetricRuntimeJobsSubmitted)->value(), 0);
+  EXPECT_EQ(snap.histograms.at(obs::kMetricJobServiceCallRunUs).count, 1);
 }
 
 TEST(JobType, EveryTypeHasNameAndMetricNames) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <memory>
 #include <string>
 
@@ -336,6 +337,39 @@ TEST_F(StorageTest, BatchedCommitSurvivesRestart) {
   ASSERT_TRUE(reopened.Open().ok());
   EXPECT_NE(reopened.Get("ATPList")->Serialize().find("<kept/>"),
             std::string::npos);
+}
+
+TEST_F(StorageTest, MalformedNumericFieldsFailOpenWithoutThrowing) {
+  OpenStore();  // creates the directory
+  struct Case {
+    const char* wal;
+    const char* manifest;  ///< Null: no manifest.
+  };
+  const Case cases[] = {
+      {"BEGIN T0 \n", nullptr},  // the version was cut off by a crash
+      {"BEGIN T0 x1\n", nullptr},
+      {"BEGIN T0 0\nRESOLVED T0 C many 0\n", nullptr},
+      {"BEGIN T0 0\nRESOLVED T0 C 0 9z\n", nullptr},
+      {"", "epoch \n"},
+      {"", "epoch -1\n"},
+  };
+  for (const Case& c : cases) {
+    std::remove((dir_ + "/wal.log").c_str());
+    std::remove((dir_ + "/manifest.txt").c_str());
+    {
+      std::ofstream wal(dir_ + "/wal.log", std::ios::trunc);
+      wal << c.wal;
+    }
+    if (c.manifest != nullptr) {
+      std::ofstream manifest(dir_ + "/manifest.txt", std::ios::trunc);
+      manifest << c.manifest;
+    }
+    DurableStore store(dir_, testing::AtpInvoker());
+    Status s = store.Open();
+    EXPECT_FALSE(s.ok()) << "wal \"" << c.wal << "\" manifest \""
+                         << (c.manifest != nullptr ? c.manifest : "") << "\"";
+  }
+  std::remove((dir_ + "/manifest.txt").c_str());
 }
 
 }  // namespace

@@ -250,6 +250,49 @@ TEST(TxnProtocol, ParamsReachRemoteServices) {
   EXPECT_TRUE(found);
 }
 
+TEST(TxnProtocol, SubCallParamsAreTemplatedFromTheCallersParams) {
+  AxmlRepository repo(1);
+  AxmlRepository::PeerConfig a{"A", false, AxmlRepository::Protocol::kBaseline,
+                               {}, 1};
+  AxmlRepository::PeerConfig b{"B", false, AxmlRepository::Protocol::kBaseline,
+                               {}, 2};
+  ASSERT_TRUE(repo.AddPeer(a).ok());
+  ASSERT_TRUE(repo.AddPeer(b).ok());
+  ASSERT_TRUE(repo.HostDocument("A", "<DataA><log/></DataA>").ok());
+  ASSERT_TRUE(repo.HostDocument("B", "<DataB><log/></DataB>").ok());
+  service::ServiceDefinition child;
+  child.name = "Record";
+  child.document = "DataB";
+  child.ops.push_back(ops::MakeInsert("Select d from d in DataB//log",
+                                      "<entry v=\"${who}\"/>"));
+  ASSERT_TRUE(repo.HostService("B", std::move(child)).ok());
+  service::ServiceDefinition root;
+  root.name = "Root";
+  root.document = "DataA";
+  root.ops.push_back(ops::MakeInsert("Select d from d in DataA//log",
+                                     "<entry v=\"${who}\"/>"));
+  // The child's parameter forwards the origin's own `who`.
+  root.subcalls.push_back({"B", "Record", {}, {{"who", "${who}"}}});
+  ASSERT_TRUE(repo.HostService("A", std::move(root)).ok());
+  auto outcome = repo.RunTransaction("A", "TP", "Root", {{"who", "X"}});
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  EXPECT_TRUE(outcome->status.ok()) << outcome->status;
+  for (const auto& [peer, name] :
+       std::vector<std::pair<std::string, std::string>>{{"A", "DataA"},
+                                                        {"B", "DataB"}}) {
+    xml::Document* doc = repo.FindPeer(peer)->repository().GetDocument(name);
+    std::vector<std::string> values;
+    doc->Walk(doc->root(), [&values](const xml::Node& n) {
+      if (n.is_element() && n.name == "entry") {
+        const std::string* v = n.FindAttribute("v");
+        values.push_back(v != nullptr ? *v : "<none>");
+      }
+      return true;
+    });
+    EXPECT_EQ(values, std::vector<std::string>{"X"}) << "peer " << peer;
+  }
+}
+
 TEST(TxnProtocol, PeerIndependentCompensationUsesPlans) {
   AxmlRepository repo(1);
   ScenarioOptions options;

@@ -1454,6 +1454,32 @@ void CheckNameRegistry(const std::vector<File>& files, const Facts& facts,
   }
 }
 
+// ---------------------------------------------------------------------------
+// R11: no throwing conversions — the codebase is exception-free, so a
+// `std::sto*` on a torn WAL field or a hostile message aborts the process.
+// ---------------------------------------------------------------------------
+
+void CheckThrowingConversions(const std::vector<File>& files,
+                              std::vector<Finding>* findings) {
+  static const std::set<std::string> kThrowing = {
+      "stoi", "stol", "stoll", "stoul", "stoull", "stof", "stod", "stold"};
+  for (const File& f : files) {
+    const std::vector<Token>& toks = f.toks;
+    for (size_t i = 2; i < toks.size(); ++i) {
+      if (toks[i].kind != Token::Kind::kIdent ||
+          kThrowing.count(toks[i].text) == 0 || toks[i - 1].text != "::" ||
+          toks[i - 2].text != "std") {
+        continue;
+      }
+      Report(findings, f, "R11", toks[i].pos,
+             "`std::" + toks[i].text +
+                 "` throws on malformed input, and an uncaught exception "
+                 "aborts the process; parse with std::from_chars and "
+                 "return a Status");
+    }
+  }
+}
+
 }  // namespace
 
 std::vector<Finding> RunLint(const std::vector<SourceFile>& files) {
@@ -1474,6 +1500,7 @@ std::vector<Finding> RunLint(const std::vector<SourceFile>& files) {
   CheckWalGrammar(facts, &findings);
   CheckThreadAnnotations(prepared, &findings);
   CheckNameRegistry(prepared, facts, &findings);
+  CheckThrowingConversions(prepared, &findings);
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
               // Numeric rule order, so R10 sorts after R9, not after R1.

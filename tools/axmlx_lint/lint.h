@@ -89,6 +89,10 @@
 ///      the kMetric* table — the AxmlStats introspection document and
 ///      axmlx_report aggregate by these strings, so an off-table or
 ///      double-defined name silently splits a series.
+///  R11 no throwing conversions: no `std::sto*` (stoi, stol, stoll, stoul,
+///      stoull, stof, stod, stold). The codebase is exception-free, so a
+///      throwing parser fed a torn WAL record or a malformed message aborts
+///      the process; use std::from_chars and return a Status.
 ///
 /// A finding can be suppressed by putting `lint:allow(Rn)` in a comment on
 /// the offending line or on the line directly above it (reserved for cases
@@ -105,7 +109,7 @@ struct SourceFile {
 
 /// One rule violation, anchored to file:line.
 struct Finding {
-  std::string rule;     ///< "R1".."R10".
+  std::string rule;     ///< "R1".."R11".
   std::string file;     ///< SourceFile::path of the offending file.
   int line = 1;         ///< 1-based line of the violation.
   std::string message;  ///< Human-readable explanation.
