@@ -227,9 +227,13 @@ Result<std::vector<xml::NodeId>> Materializer::MaterializeForQuery(
       }
     }
   }
-  // Pass 2: select inputs under surviving bindings only.
+  // Pass 2: select inputs under surviving bindings only. One EvalContext
+  // serves every binding; its text memo is dropped whenever a
+  // materialization changes the document.
+  query::EvalContext ctx;
   for (xml::NodeId src : sources) {
-    if (q.where != nullptr && !query::EvaluatePredicate(*doc_, src, *q.where)) {
+    if (q.where != nullptr &&
+        !query::EvaluatePredicate(*doc_, src, *q.where, &ctx)) {
       continue;
     }
     for (xml::NodeId sc : FindServiceCalls(*doc_, src)) {
@@ -240,6 +244,7 @@ Result<std::vector<xml::NodeId>> Materializer::MaterializeForQuery(
         continue;
       }
       AXMLX_RETURN_IF_ERROR(MaterializeCall(sc).status());
+      ctx.InvalidateCaches();
       done.insert(sc);
       materialized.push_back(sc);
     }

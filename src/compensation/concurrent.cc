@@ -63,9 +63,13 @@ Result<const ops::OpEffect*> ConcurrentExecutor::ExecuteImpl(
   if (timeline_ != nullptr) {
     timeline_->Enter(t.label, obs::kPhaseEval, timeline_now_);
   }
+  const uint64_t version_before = doc_->version();
   Result<ops::OpEffect> result = prep != nullptr
                                      ? exec.ExecutePrepared(op, std::move(*prep))
                                      : exec.Execute(op);
+  if (t.first_write == 0 && doc_->version() > version_before) {
+    t.first_write = version_before + 1;
+  }
   if (timeline_ != nullptr) {
     timeline_->Exit(t.label, obs::kPhaseEval, ++timeline_now_);
   }
@@ -208,14 +212,16 @@ Status ConcurrentExecutor::CompensateAndEnd(TxnHandle txn, Txn* t,
     timeline_->Exit(t->label, obs::kPhaseCompensation, ++timeline_now_);
     timeline_->EndTxn(t->label, timeline_now_);
   }
-  table_.EndWriter(txn);
+  table_.AbortWriter(txn, t->first_write);
   txns_.erase(txn);
   PruneHistory();
   return status;
 }
 
 void ConcurrentExecutor::PruneHistory() {
-  doc_->PruneVersionsBefore(table_.OldestSnapshot(doc_->version()));
+  const uint64_t oldest = table_.OldestSnapshot(doc_->version());
+  doc_->PruneVersionsBefore(oldest);
+  table_.ForgetAbortedThrough(oldest);
 }
 
 }  // namespace axmlx::comp

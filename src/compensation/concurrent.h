@@ -143,6 +143,7 @@ class ConcurrentExecutor {
   struct Txn {
     std::string label;
     uint64_t snapshot = 0;
+    uint64_t first_write = 0;  ///< Version of its first record (0: none).
     query::EvalContext ctx;  ///< Per-txn: memos are only valid for one view.
     ops::OpLog log;
   };

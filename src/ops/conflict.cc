@@ -10,6 +10,17 @@ void ConflictTable::BeginWriter(uint64_t writer, uint64_t snapshot) {
 
 void ConflictTable::EndWriter(uint64_t writer) { active_.erase(writer); }
 
+void ConflictTable::AbortWriter(uint64_t writer, uint64_t first_version) {
+  active_.erase(writer);
+  if (first_version != 0) aborted_[writer] = first_version;
+}
+
+void ConflictTable::ForgetAbortedThrough(uint64_t version) {
+  std::erase_if(aborted_, [version](const auto& entry) {
+    return entry.second <= version;
+  });
+}
+
 bool ConflictTable::IsActive(uint64_t writer) const {
   return active_.count(writer) != 0;
 }
@@ -57,6 +68,10 @@ std::optional<Conflict> ConflictTable::CheckEffect(const xml::Document& doc,
         id, 0, [&](uint64_t version, uint64_t rec_writer) {
           if (found.has_value()) return;
           if (rec_writer == writer || rec_writer == 0) return;
+          auto aborted = aborted_.find(rec_writer);
+          if (aborted != aborted_.end() && aborted->second > snapshot) {
+            return;  // written and undone entirely after the snapshot
+          }
           // (a) committed-after-my-snapshot, or (b) still-active (dirty
           // write) — either way first-writer-wins says we lose.
           if (version > snapshot || IsActive(rec_writer)) {

@@ -31,13 +31,33 @@ struct Conflict {
 /// to a writer that is still active, which forbids dirty writes: if T
 /// overwrote an uncommitted write and that writer later compensated, the
 /// compensation would clobber T's update.
+///
+/// An aborted writer whose first write postdates T's snapshot is the
+/// exception. Its rollback and compensation restore every node it wrote to
+/// that node's pre-write state (deletes are undone with the original ids),
+/// and T's snapshot saw none of it, so T's snapshot of those nodes is
+/// still their live state and the records cannot conflict. Without that
+/// exception a conflict loser's own undo records would make the winner
+/// lose too, and two transactions writing the same two nodes in opposite
+/// orders would abort each other forever. A snapshot that did see the
+/// aborted writer's effects still conflicts on its undo records.
 class ConflictTable {
  public:
   /// Registers `writer` as active with its begin snapshot version.
   void BeginWriter(uint64_t writer, uint64_t snapshot);
 
-  /// Unregisters `writer` (committed or aborted).
+  /// Unregisters a committed `writer`.
   void EndWriter(uint64_t writer);
+
+  /// Unregisters `writer` once its effects are rolled back and compensated.
+  /// `first_version` is the version of its first record (0: it wrote
+  /// nothing).
+  void AbortWriter(uint64_t writer, uint64_t first_version);
+
+  /// Forgets aborted writers whose first record is at or below `version`,
+  /// the oldest snapshot still in use: every snapshot saw their writes, so
+  /// their records conflict like anyone's.
+  void ForgetAbortedThrough(uint64_t version);
 
   [[nodiscard]] bool IsActive(uint64_t writer) const;
 
@@ -64,6 +84,7 @@ class ConflictTable {
 
  private:
   std::map<uint64_t, uint64_t> active_;  ///< writer -> snapshot version.
+  std::map<uint64_t, uint64_t> aborted_;  ///< writer -> first record.
 };
 
 }  // namespace axmlx::ops

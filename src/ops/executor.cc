@@ -7,6 +7,17 @@
 #include "xml/parser.h"
 
 namespace axmlx::ops {
+namespace {
+
+/// True if `doc` holds an `axml:sc` element (attached or detached): one
+/// tag-index lookup, no tree walk.
+bool HasServiceCalls(const xml::Document& doc) {
+  std::vector<xml::NodeId> calls;
+  doc.CollectElementsNamed(xml::kNameAxmlSc, &calls);
+  return !calls.empty();
+}
+
+}  // namespace
 
 Executor::Executor(xml::Document* doc, axml::ServiceInvoker invoker)
     : doc_(doc), invoker_(std::move(invoker)) {
@@ -43,17 +54,22 @@ Result<std::vector<xml::NodeId>> Executor::ResolveLocation(const Operation& op,
   AXMLX_ASSIGN_OR_RETURN(query::Query q, query::ParseQuery(op.location));
   // "The <location> query evaluation may involve service call
   // materializations, and as such, updates to the AXML document." (§3.1)
-  axml::Materializer materializer(doc_, invoker_, &effect->edits);
-  for (const auto& [name, value] : externals_) {
-    materializer.SetExternal(name, value);
+  // A lazy evaluation in a document without service calls has nothing to
+  // materialize, so it skips the materializer's per-source scans.
+  if (op.eager || HasServiceCalls(*doc_)) {
+    axml::Materializer materializer(doc_, invoker_, &effect->edits);
+    for (const auto& [name, value] : externals_) {
+      materializer.SetExternal(name, value);
+    }
+    if (op.eager) {
+      AXMLX_RETURN_IF_ERROR(
+          materializer.MaterializeAll(doc_->root()).status());
+    } else {
+      AXMLX_RETURN_IF_ERROR(
+          materializer.MaterializeForQuery(q, doc_->root()).status());
+    }
+    effect->materialize_stats = materializer.stats();
   }
-  if (op.eager) {
-    AXMLX_RETURN_IF_ERROR(materializer.MaterializeAll(doc_->root()).status());
-  } else {
-    AXMLX_RETURN_IF_ERROR(
-        materializer.MaterializeForQuery(q, doc_->root()).status());
-  }
-  effect->materialize_stats = materializer.stats();
   if (op.type == ActionType::kQuery) {
     AXMLX_ASSIGN_OR_RETURN(effect->query_result, Evaluate(q));
     return effect->query_result.AllSelected();
@@ -100,9 +116,7 @@ PreparedOp Executor::Prepare(const xml::Document& doc, const Operation& op,
       op.location.empty()) {
     return prep;
   }
-  std::vector<xml::NodeId> calls;
-  doc.CollectElementsNamed(xml::kNameAxmlSc, &calls);
-  if (!calls.empty()) return prep;
+  if (HasServiceCalls(doc)) return prep;
   auto q_or = query::ParseQuery(op.location);
   if (!q_or.ok()) return prep;
   Result<query::QueryResult> result_or =

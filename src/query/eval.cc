@@ -112,7 +112,13 @@ void CollectDescendantsIndexed(const xml::Document& doc, xml::NodeId ctx_node,
     keys.emplace_back(std::move(key), cand);
   }
   std::sort(keys.begin(), keys.end());
-  for (const auto& [key, id] : keys) out->push_back(id);
+  // A rename away and back lists an id twice in the tag index; both copies
+  // sort next to each other.
+  xml::NodeId last = xml::kNullNode;
+  for (const auto& [key, id] : keys) {
+    if (id != last) out->push_back(id);
+    last = id;
+  }
 }
 
 /// Appends the query-visible descendant elements of `ctx_node` matching the
@@ -152,9 +158,20 @@ void CollectDescendantsForStep(const xml::Document& doc, xml::NodeId ctx_node,
 }
 
 /// TextContent with a per-evaluation memo (predicate-heavy queries hit the
-/// same nodes repeatedly across bindings).
+/// same nodes repeatedly across bindings). A text node, or an element whose
+/// only child is text (scalar fields such as `<name>k7</name>`), already
+/// holds its text content and is read in place: a keyed lookup tests each
+/// record's field once, so copying it into the memo would only cost.
 const std::string& CachedTextContent(const xml::Document& doc, xml::NodeId id,
                                      EvalContext* ctx) {
+  const xml::Node* n = doc.FindAt(id, ctx->view);
+  if (n != nullptr) {
+    if (n->is_text()) return n->text;
+    if (n->children.size() == 1) {
+      const xml::Node* only = doc.FindAt(n->children[0], ctx->view);
+      if (only != nullptr && only->is_text()) return only->text;
+    }
+  }
   auto [it, inserted] = ctx->text_cache.try_emplace(id);
   if (inserted) {
     doc.AppendTextContentAt(id, ctx->view, &it->second);
@@ -189,9 +206,16 @@ void EvaluateSteps(const xml::Document& doc, xml::NodeId context,
   current.push_back(context);
   for (const Step* step = begin; step != end; ++step) {
     next.clear();
-    ctx->seen.clear();
-    auto add = [&next, ctx](xml::NodeId id) {
-      if (ctx->seen.insert(id).second) next.push_back(id);
+    // `current` is duplicate-free, and every node has one query-visible
+    // parent, so child steps yield distinct nodes, as does any step from a
+    // single node. Only parent and descendant steps from several nodes can
+    // reach a node twice (siblings share a parent; nested contexts share
+    // descendants), and only they pay for the set. `seen` is empty between
+    // steps, and is emptied entry by entry: clear() would zero every bucket
+    // an earlier, larger step grew, once per binding.
+    const bool dedup = current.size() > 1 && step->axis != Step::Axis::kChild;
+    auto add = [&next, ctx, dedup](xml::NodeId id) {
+      if (!dedup || ctx->seen.insert(id).second) next.push_back(id);
     };
     const bool any_name = step->name == "*";
     const xml::NameId want =
@@ -229,6 +253,9 @@ void EvaluateSteps(const xml::Document& doc, xml::NodeId context,
           // as the final step of a predicate path (see EvaluatePredicate).
           break;
       }
+    }
+    if (dedup) {
+      for (xml::NodeId id : next) ctx->seen.erase(id);
     }
     current.swap(next);
   }

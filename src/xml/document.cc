@@ -100,7 +100,7 @@ void Document::ForEachWriteSince(
 
 void Document::AppendTextContentAt(NodeId id, const ReadView& view,
                                    std::string* out) const {
-  if (!view.active || !versioning_enabled_) {
+  if (ReadsLive(view)) {
     AppendTextContent(id, out);
     return;
   }

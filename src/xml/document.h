@@ -118,10 +118,11 @@ class Document {
   /// (or last written by the view's own writer), the reconstructed prior
   /// state when another writer touched it afterwards, and nullptr when the
   /// node did not exist at the snapshot. The returned pointer stays valid
-  /// until the next mutation or PruneVersionsBefore call.
+  /// until the next mutation or PruneVersionsBefore call. A snapshot at or
+  /// past the current version is read live: no record postdates it, so the
+  /// chain lookup could only return the live node.
   const Node* FindAt(NodeId id, const ReadView& view) const {
-    if (!view.active || !versioning_enabled_) return Find(id);
-    return FindVersioned(id, view);
+    return ReadsLive(view) ? Find(id) : FindVersioned(id, view);
   }
 
   /// Invokes `fn(version, writer)` for every retained history record of
@@ -344,6 +345,12 @@ class Document {
   /// chain under a fresh version number. No-op unless versioning is on.
   /// Mutators call this immediately before changing the node.
   void RecordVersion(NodeId id);
+
+  /// True when `view` sees the live document: no view, no history, or a
+  /// snapshot that no record postdates.
+  bool ReadsLive(const ReadView& view) const {
+    return !view.active || !versioning_enabled_ || view.version >= version_;
+  }
 
   const Node* FindVersioned(NodeId id, const ReadView& view) const;
 

@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "compensation/compensation.h"
+#include "compensation/concurrent.h"
 #include "ops/executor.h"
 #include "ops/op_log.h"
 #include "tests/test_data.h"
@@ -266,6 +267,68 @@ TEST_P(RandomOpsTest, ExecuteThenCompensateIsIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomOpsTest,
                          ::testing::Range<uint64_t>(1, 26));
+
+// --- Concurrent conflict losers -------------------------------------------
+
+std::unique_ptr<Document> MakeTwoSections() {
+  auto doc = xml::Parse(
+      "<inv><section><name>s1</name></section>"
+      "<section><name>s2</name></section></inv>");
+  EXPECT_TRUE(doc.ok()) << doc.status();
+  return std::move(doc).value();
+}
+
+Operation InsertInto(const std::string& section, const std::string& tag) {
+  return MakeInsert(
+      "Select s from s in inv/section where s/name = " + section,
+      "<entry>" + tag + "</entry>");
+}
+
+TEST(ConcurrentConflict, OppositeOrderWritersLeaveExactlyOneWinner) {
+  // a writes s1 then s2, b writes s2 then s1, in lock step. a loses on s2
+  // (b holds it) and is compensated. Its undo records on s1 postdate b's
+  // snapshot and restore s1 exactly, so b must be able to write s1 and
+  // commit: first-writer-wins needs a first writer.
+  std::unique_ptr<Document> doc = MakeTwoSections();
+  std::unique_ptr<Document> before = doc->Clone();
+  ConcurrentExecutor exec(doc.get(), /*invoker=*/nullptr);
+  TxnHandle a = exec.Begin("a");
+  TxnHandle b = exec.Begin("b");
+  ASSERT_TRUE(exec.Execute(a, InsertInto("s1", "a1")).ok());
+  ASSERT_TRUE(exec.Execute(b, InsertInto("s2", "b2")).ok());
+  auto a2 = exec.Execute(a, InsertInto("s2", "a2"));
+  ASSERT_TRUE(IsWriteConflict(a2.status())) << a2.status();
+  EXPECT_FALSE(exec.IsActive(a));
+  auto b1 = exec.Execute(b, InsertInto("s1", "b1"));
+  ASSERT_TRUE(b1.ok()) << b1.status();
+  ASSERT_TRUE(exec.Commit(b).ok());
+
+  // The result is b run alone.
+  ConcurrentExecutor serial(before.get(), /*invoker=*/nullptr);
+  TxnHandle only_b = serial.Begin("b");
+  ASSERT_TRUE(serial.Execute(only_b, InsertInto("s2", "b2")).ok());
+  ASSERT_TRUE(serial.Execute(only_b, InsertInto("s1", "b1")).ok());
+  ASSERT_TRUE(serial.Commit(only_b).ok());
+  EXPECT_TRUE(Document::Equals(*doc, *before)) << doc->Serialize();
+  EXPECT_EQ(exec.metrics()
+                ->GetCounter(obs::kMetricTxnConflictsAborted)
+                ->value(),
+            1);
+}
+
+TEST(ConcurrentConflict, SnapshotThatSawALosersWriteStillConflicts) {
+  // c's snapshot holds a's uncommitted entry in s1; a then aborts and its
+  // compensation changes s1 under c. c's view of s1 is stale, so c's
+  // write there must still lose.
+  std::unique_ptr<Document> doc = MakeTwoSections();
+  ConcurrentExecutor exec(doc.get(), /*invoker=*/nullptr);
+  TxnHandle a = exec.Begin("a");
+  ASSERT_TRUE(exec.Execute(a, InsertInto("s1", "a1")).ok());
+  TxnHandle c = exec.Begin("c");
+  ASSERT_TRUE(exec.Abort(a).ok());
+  auto c1 = exec.Execute(c, InsertInto("s1", "c1"));
+  EXPECT_TRUE(IsWriteConflict(c1.status())) << c1.status();
+}
 
 }  // namespace
 }  // namespace axmlx::comp

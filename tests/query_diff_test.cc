@@ -82,32 +82,49 @@ std::unique_ptr<Document> RandomDocument(Rng* rng) {
   return doc;
 }
 
-PathExpr RandomPath(Rng* rng, int max_steps) {
+/// What RandomPath draws from. The default is the original corpus (child
+/// and descendant steps over kNames); the other shapes add parent steps or
+/// swap the name set, and draw nothing extra from the RNG when unused.
+struct PathShape {
+  const char* const* names = kNames;
+  size_t num_names = kNumNames;
+  double parent_share = 0;  ///< Chance that a step is `..`.
+};
+
+PathExpr RandomPath(Rng* rng, int max_steps, const PathShape& shape = {}) {
   PathExpr path;
   const int steps = 1 + static_cast<int>(rng->Uniform(
       static_cast<uint64_t>(max_steps)));
   for (int i = 0; i < steps; ++i) {
     Step step;
+    if (shape.parent_share > 0 && rng->Bernoulli(shape.parent_share)) {
+      step.axis = Step::Axis::kParent;
+      path.steps.push_back(std::move(step));
+      continue;
+    }
     step.axis = rng->Bernoulli(0.5) ? Step::Axis::kDescendant
                                     : Step::Axis::kChild;
-    step.name =
-        rng->Bernoulli(0.15) ? "*" : kNames[rng->Uniform(kNumNames)];
+    step.name = rng->Bernoulli(0.15)
+                    ? "*"
+                    : shape.names[rng->Uniform(shape.num_names)];
     path.steps.push_back(std::move(step));
   }
   return path;
 }
 
-Query RandomQuery(Rng* rng) {
+Query RandomQuery(Rng* rng, const PathShape& shape = {}) {
   Query q;
   q.var = "x";
   q.doc_name = "Root";
-  q.source = RandomPath(rng, 3);
+  q.source = RandomPath(rng, 3, shape);
   const int selects = static_cast<int>(rng->Uniform(4));
-  for (int i = 0; i < selects; ++i) q.selects.push_back(RandomPath(rng, 2));
+  for (int i = 0; i < selects; ++i) {
+    q.selects.push_back(RandomPath(rng, 2, shape));
+  }
   if (rng->Bernoulli(0.6)) {
     auto pred = std::make_unique<Predicate>();
     pred->kind = Predicate::Kind::kCompare;
-    pred->path = RandomPath(rng, 2);
+    pred->path = RandomPath(rng, 2, shape);
     pred->op = static_cast<query::CompareOp>(rng->Uniform(6));
     pred->literal = std::to_string(rng->UniformRange(0, 20));
     if (rng->Bernoulli(0.3)) pred->literal = " " + pred->literal;
@@ -117,11 +134,13 @@ Query RandomQuery(Rng* rng) {
 }
 
 /// Asserts indexed == naive for one (document, query) pair: same bindings
-/// in the same order, same selected nodes per binding.
+/// in the same order, same selected nodes per binding. Both read through
+/// `ctx->view` (the live document when inactive).
 void ExpectSameResults(const Document& doc, const Query& q,
                        EvalContext* ctx) {
   auto indexed = query::EvaluateQuery(doc, q, ctx, /*check_doc_name=*/false);
-  auto naive = query::naive::EvaluateQuery(doc, q, /*check_doc_name=*/false);
+  auto naive = query::naive::EvaluateQuery(doc, ctx->view, q,
+                                           /*check_doc_name=*/false);
   ASSERT_EQ(indexed.ok(), naive.ok());
   if (!indexed.ok()) return;
   const auto& ib = indexed.value().bindings;
@@ -168,6 +187,177 @@ TEST_P(QueryDifferential, IndexedMatchesNaiveAfterMutations) {
     ctx.InvalidateCaches();
     Query q = RandomQuery(&rng);
     ExpectSameResults(*doc, q, &ctx);
+  }
+}
+
+// --- Where a path step can reach a node twice --------------------------------
+//
+// The evaluator deduplicates only the steps that can repeat a node: parent
+// steps and descendant steps from several context nodes. Descendant steps
+// from one node rely on the tag index listing each id once, which a rename
+// away and back breaks. Each case below fails when the dedup it covers is
+// removed.
+
+/// Parent steps: siblings share a parent, so `x/..` from several nodes
+/// reaches the same node repeatedly.
+TEST_P(QueryDifferential, ParentStepsMatchNaive) {
+  Rng rng(GetParam() ^ 0x5bd1e995ull);
+  PathShape shape;
+  shape.parent_share = 0.3;
+  for (int round = 0; round < 10; ++round) {
+    auto doc = RandomDocument(&rng);
+    EvalContext ctx;
+    for (int i = 0; i < 25; ++i) {
+      ExpectSameResults(*doc, RandomQuery(&rng, shape), &ctx);
+    }
+  }
+}
+
+const char* const kNestedNames[] = {"a", "b"};
+
+/// Grows chains of two element names, so elements nest inside others of
+/// the same name and `//a//b` reaches most b's from several a's.
+void GrowNestedTree(Document* doc, NodeId parent, int depth, Rng* rng) {
+  const int children = static_cast<int>(rng->UniformRange(1, 3));
+  for (int i = 0; i < children; ++i) {
+    const uint64_t kind = rng->Uniform(8);
+    if (kind < 6) {
+      NodeId elem = xml::AddElement(doc, parent, kNestedNames[kind % 2]);
+      if (depth > 0) {
+        GrowNestedTree(doc, elem, depth - 1, rng);
+      } else {
+        xml::AddText(doc, elem, std::to_string(rng->Uniform(5)));
+      }
+    } else if (kind < 7) {
+      NodeId sc = xml::AddElement(doc, parent, "axml:sc");
+      xml::AddElement(doc, sc, "axml:params");
+      if (depth > 0) GrowNestedTree(doc, sc, depth - 1, rng);
+    } else {
+      xml::AddText(doc, parent, std::to_string(rng->Uniform(5)));
+    }
+  }
+}
+
+std::unique_ptr<Document> NestedDocument(Rng* rng) {
+  auto doc = std::make_unique<Document>("Root");
+  GrowNestedTree(doc.get(), doc->root(), /*depth=*/5, rng);
+  return doc;
+}
+
+TEST_P(QueryDifferential, OverlappingDescendantStepsMatchNaive) {
+  Rng rng(GetParam() ^ 0x27d4eb2full);
+  PathShape shape;
+  shape.names = kNestedNames;
+  shape.num_names = 2;
+  for (int round = 0; round < 10; ++round) {
+    auto doc = NestedDocument(&rng);
+    EvalContext ctx;
+    for (int i = 0; i < 25; ++i) {
+      ExpectSameResults(*doc, RandomQuery(&rng, shape), &ctx);
+    }
+  }
+}
+
+/// Renames `id` away and back with no lookup in between: the tag index
+/// then lists it twice under its name.
+void RenameAwayAndBack(Document* doc, NodeId id) {
+  const std::string name = doc->Find(id)->name;
+  ASSERT_TRUE(doc->RenameElement(id, "renamed").ok());
+  ASSERT_TRUE(doc->RenameElement(id, name).ok());
+}
+
+TEST_P(QueryDifferential, RenamesAwayAndBackMatchNaive) {
+  // "rare" stays below an eighth of the nodes, so its descendant steps take
+  // the tag index rather than the walk.
+  static const char* const kRareNames[] = {"rare", "a", "player", "rank"};
+  Rng rng(GetParam() ^ 0x165667b1ull);
+  PathShape shape;
+  shape.names = kRareNames;
+  shape.num_names = 4;
+  shape.parent_share = 0.1;
+  auto doc = RandomDocument(&rng);
+  EvalContext ctx;
+  Query all_rare;
+  all_rare.var = "x";
+  all_rare.doc_name = "Root";
+  all_rare.source.steps.push_back(Step{Step::Axis::kDescendant, "rare"});
+  for (int i = 0; i < 30; ++i) {
+    std::vector<NodeId> elems;
+    doc->CollectElementsNamed(doc->FindNameId(kNames[i % kNumNames]), &elems);
+    if (!elems.empty()) {
+      NodeId rare = xml::AddTextElement(
+          doc.get(), elems[rng.Uniform(elems.size())], "rare",
+          std::to_string(rng.UniformRange(0, 20)));
+      if (rng.Bernoulli(0.5)) RenameAwayAndBack(doc.get(), rare);
+    }
+    std::vector<NodeId> rares;
+    doc->CollectElementsNamed(doc->FindNameId("rare"), &rares);
+    if (!rares.empty()) {
+      RenameAwayAndBack(doc.get(), rares[rng.Uniform(rares.size())]);
+    }
+    if (!elems.empty() && rng.Bernoulli(0.3)) {
+      (void)doc->RemoveSubtree(elems[rng.Uniform(elems.size())]);
+    }
+    ctx.InvalidateCaches();
+    ExpectSameResults(*doc, all_rare, &ctx);
+    ExpectSameResults(*doc, RandomQuery(&rng, shape), &ctx);
+  }
+  EXPECT_GT(ctx.stats.index_hits, 0) << "the tag index was never used";
+}
+
+/// Snapshot evaluation: readers hold views while other writers insert,
+/// delete, rewrite text and rename. Each view is compared against the
+/// view-threaded naive evaluator, both before the document moves on (the
+/// view is current) and after (it reads undo images).
+TEST_P(QueryDifferential, SnapshotViewsMatchNaiveAfterConcurrentWrites) {
+  Rng rng(GetParam() ^ 0x85ebca6bull);
+  PathShape shape;
+  shape.names = kNestedNames;
+  shape.num_names = 2;
+  shape.parent_share = 0.2;
+  auto doc = NestedDocument(&rng);
+  GrowRandomTree(doc.get(), doc->root(), 2, &rng);
+  doc->EnableVersioning();
+  uint64_t next_writer = 1;
+  for (int round = 0; round < 8; ++round) {
+    const uint64_t reader = next_writer++;
+    EvalContext ctx;
+    ctx.view = xml::ReadView{doc->version(), reader, true};
+    for (int i = 0; i < 5; ++i) {
+      ExpectSameResults(*doc, RandomQuery(&rng, shape), &ctx);
+    }
+    // Two writers move the document on: the reader itself (its writes
+    // stay visible to it) and another transaction (invisible to it).
+    for (uint64_t writer : {reader, next_writer++}) {
+      doc->SetWriter(writer);
+      std::vector<NodeId> elems;
+      doc->CollectElementsNamed(doc->FindNameId(kNestedNames[writer % 2]),
+                                &elems);
+      if (!elems.empty()) {
+        NodeId target = elems[rng.Uniform(elems.size())];
+        switch (rng.Uniform(4)) {
+          case 0:
+            (void)doc->RemoveSubtree(target);
+            break;
+          case 1:
+            GrowNestedTree(doc.get(), target, 2, &rng);
+            break;
+          case 2:
+            RenameAwayAndBack(doc.get(), target);
+            break;
+          default:
+            for (NodeId c : doc->Find(target)->children) {
+              if (doc->Find(c)->is_text()) (void)doc->SetText(c, "3");
+            }
+            break;
+        }
+      }
+      doc->SetWriter(0);
+    }
+    ctx.InvalidateCaches();
+    for (int i = 0; i < 10; ++i) {
+      ExpectSameResults(*doc, RandomQuery(&rng, shape), &ctx);
+    }
   }
 }
 

@@ -430,5 +430,69 @@ TEST(SlabStorage, ImportSubtreeReinternsForeignNames) {
   EXPECT_EQ(players.size(), 1u);
 }
 
+// --- Snapshot reads (FindAt) -------------------------------------------------
+
+/// A versioned document <r><item>old</item></r>; `*text` is the text node.
+Document MakeVersioned(NodeId* text) {
+  Document doc("r");
+  doc.EnableVersioning();
+  NodeId item = AddTextElement(&doc, doc.root(), "item", "old");
+  *text = doc.Find(item)->children[0];
+  return doc;
+}
+
+/// Writer `writer` rewrites the text to "new" and appends <added/>.
+NodeId WriteAs(Document* doc, uint64_t writer, NodeId text) {
+  doc->SetWriter(writer);
+  EXPECT_TRUE(doc->SetText(text, "new").ok());
+  NodeId added = AddElement(doc, doc->root(), "added");
+  doc->SetWriter(0);
+  return added;
+}
+
+TEST(FindAt, CurrentSnapshotReadsTheLiveNode) {
+  NodeId text = kNullNode;
+  Document doc = MakeVersioned(&text);
+  NodeId added = WriteAs(&doc, /*writer=*/1, text);
+  ASSERT_GT(doc.VersionRecordCount(), 0u);
+  // Another writer's snapshot taken now is current: every record predates
+  // it, so reads are the live nodes themselves.
+  const ReadView now{doc.version(), /*writer=*/2, true};
+  EXPECT_EQ(doc.FindAt(text, now), doc.Find(text));
+  EXPECT_EQ(doc.FindAt(added, now), doc.Find(added));
+  EXPECT_EQ(doc.FindAt(text, now)->text, "new");
+  std::string content;
+  doc.AppendTextContentAt(doc.root(), now, &content);
+  EXPECT_EQ(content, "new");
+}
+
+TEST(FindAt, OlderSnapshotSeesUndoImagesAfterAnotherWriter) {
+  NodeId text = kNullNode;
+  Document doc = MakeVersioned(&text);
+  const ReadView before{doc.version(), /*writer=*/2, true};
+  NodeId added = WriteAs(&doc, /*writer=*/1, text);
+  const Node* old_text = doc.FindAt(text, before);
+  ASSERT_NE(old_text, nullptr);
+  EXPECT_NE(old_text, doc.Find(text));
+  EXPECT_EQ(old_text->text, "old");
+  EXPECT_EQ(doc.FindAt(added, before), nullptr)
+      << "a node inserted after the snapshot must be invisible";
+  EXPECT_EQ(doc.FindAt(doc.root(), before)->children.size(), 1u);
+  std::string content;
+  doc.AppendTextContentAt(doc.root(), before, &content);
+  EXPECT_EQ(content, "old");
+}
+
+TEST(FindAt, ReadsItsOwnWritesPastItsSnapshot) {
+  NodeId text = kNullNode;
+  Document doc = MakeVersioned(&text);
+  const ReadView mine{doc.version(), /*writer=*/1, true};
+  NodeId added = WriteAs(&doc, /*writer=*/1, text);
+  EXPECT_EQ(doc.FindAt(text, mine), doc.Find(text));
+  EXPECT_EQ(doc.FindAt(text, mine)->text, "new");
+  EXPECT_EQ(doc.FindAt(added, mine), doc.Find(added));
+  EXPECT_EQ(doc.FindAt(doc.root(), mine)->children.size(), 2u);
+}
+
 }  // namespace
 }  // namespace axmlx::xml
