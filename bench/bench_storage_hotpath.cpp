@@ -7,6 +7,11 @@
 // stays reproducible in-tree: node churn (create + destroy), id lookup,
 // and text aggregation run against both layouts.
 //
+// Two document-lifecycle cases price a Document by what it holds: a tiny
+// fragment (construct, build an 8-node payload, destroy), the shape of every
+// operation, `<data>` payload and service result that crosses peers, and a
+// Clone of an ~800-node document, the replica-push copy.
+//
 // It also measures the WAL group-commit policies: transactions executed
 // under FlushPolicy::EveryRecord / EveryN / OnResolve, reporting the
 // wal.flushes and wal.records_batched counters.
@@ -132,6 +137,41 @@ int ChurnMap(MapStore* store) {
   }
   store->DestroySubtree(top);
   return found;
+}
+
+constexpr int kTinyDocsPerBatch = 100;  ///< Lifecycles per timed batch.
+constexpr int kCloneRecords = 200;     ///< 4 nodes each: ~800-node clone.
+
+/// One tiny-document lifecycle: a fresh fragment document carrying an
+/// 8-node payload (<data><entry k=".."><name>x</name><v>1</v></entry></data>
+/// under the root), destroyed on return. Returns its node count.
+size_t TinyDocLifecycle() {
+  Document doc("fragment");
+  NodeId data = axmlx::xml::AddElement(&doc, doc.root(), "data");
+  NodeId entry = axmlx::xml::AddElement(&doc, data, "entry");
+  (void)doc.SetAttribute(entry, "k", "7");
+  axmlx::xml::AddTextElement(&doc, entry, "name", "x");
+  axmlx::xml::AddTextElement(&doc, entry, "v", "1");
+  axmlx::xml::AddText(&doc, data, "tail");
+  return doc.size();
+}
+
+size_t TinyDocBatch() {
+  size_t nodes = 0;
+  for (int i = 0; i < kTinyDocsPerBatch; ++i) nodes += TinyDocLifecycle();
+  return nodes;
+}
+
+/// An 801-node document (root + 200 records of 4 nodes) spanning two slab
+/// pages, the second one partly used — the Clone input.
+std::unique_ptr<Document> MakeCloneSource() {
+  auto doc = std::make_unique<Document>("root");
+  for (int i = 0; i < kCloneRecords; ++i) {
+    NodeId rec = axmlx::xml::AddElement(doc.get(), doc->root(), "record");
+    axmlx::xml::AddTextElement(doc.get(), rec, "value", "payload");
+    axmlx::xml::AddText(doc.get(), rec, "tail");
+  }
+  return doc;
 }
 
 /// Builds the same wide read-workload tree in both layouts: `sections`
@@ -315,6 +355,31 @@ void PrintExperiment() {
   }
 
   {
+    Table table({"document lifecycle", "nodes", "calls", "us/call"});
+    const int batches = 200;
+    size_t tiny_nodes = 0;
+    double tiny_us = TimeUs([&] {
+      for (int b = 0; b < batches; ++b) tiny_nodes = TinyDocBatch();
+    });
+    const int tiny_calls = batches * kTinyDocsPerBatch;
+    table.AddRow({"tiny doc: construct+build+destroy",
+                  Fmt(static_cast<int64_t>(tiny_nodes / kTinyDocsPerBatch)),
+                  Fmt(tiny_calls), Fmt(tiny_us / tiny_calls)});
+    auto source = MakeCloneSource();
+    const int clones = 2000;
+    size_t cloned_nodes = 0;
+    double clone_us = TimeUs([&] {
+      for (int i = 0; i < clones; ++i) cloned_nodes = source->Clone()->size();
+    });
+    table.AddRow({"Clone (2 pages)", Fmt(static_cast<int64_t>(cloned_nodes)),
+                  Fmt(clones), Fmt(clone_us / clones)});
+    table.Print();
+    std::printf(
+        "  per-document cost: what the document holds, not a 512-slot "
+        "page\n\n");
+  }
+
+  {
     Table table({"flush policy", "txns", "wal records", "flushes",
                  "records/flush"});
     const int n_txns = 50;
@@ -342,6 +407,15 @@ void WriteReport(bool smoke) {
   const int iters = smoke ? 50 : 5000;
   axmlx::bench::MeasureThroughput(&report, "churn_latency_us", iters,
                                   [&] { ChurnSlab(&doc); });
+  axmlx::bench::MeasureThroughput(&report, "tiny_doc_batch_us",
+                                  smoke ? 20 : 2000, [] { TinyDocBatch(); });
+  {
+    auto source = MakeCloneSource();
+    axmlx::bench::MeasureThroughput(&report, "clone_800_us",
+                                    smoke ? 20 : 2000,
+                                    [&] { (void)source->Clone(); });
+  }
+  // The id-lookup batch rate, measured last, stays the headline ops/sec.
   {
     Document lookup_doc("root");
     MapStore unused;
@@ -406,6 +480,21 @@ void BM_MapLookup(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MapLookup)->Unit(benchmark::kMicrosecond);
+
+void BM_TinyDocLifecycle(benchmark::State& state) {
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(TinyDocLifecycle());
+  }
+}
+BENCHMARK(BM_TinyDocLifecycle)->Unit(benchmark::kMicrosecond);
+
+void BM_Clone800(benchmark::State& state) {
+  auto source = MakeCloneSource();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(source->Clone());
+  }
+}
+BENCHMARK(BM_Clone800)->Unit(benchmark::kMicrosecond);
 
 void BM_WalCommit(benchmark::State& state) {
   FlushPolicy policy = state.range(0) == 0   ? FlushPolicy::EveryRecord()

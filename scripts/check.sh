@@ -2,9 +2,9 @@
 # CI gate for axmlx: warnings-as-errors build, full test suite, project
 # linter (plus a machine-readable `axmlx_lint --json` artifact), the
 # end-to-end benchmark's self-test, a perf smoke stage (which includes the bench_obs_overhead flight-recorder budget
-# gate), an end-to-end forensics render, the fault-injection suites under
-# ASan/UBSan, and finally the fault+mvcc suites under TSan
-# (-DAXMLX_SANITIZE=thread). Exits non-zero on the first failure. See
+# gate), an end-to-end forensics render, the fault-injection, MVCC and XML
+# slab-storage suites under ASan/UBSan, and finally the fault+mvcc suites
+# under TSan (-DAXMLX_SANITIZE=thread). Exits non-zero on the first failure. See
 # DESIGN.md §6b.
 #
 # The perf smoke stage runs the hot-path benches with --smoke and diffs
@@ -127,6 +127,15 @@ step "sanitizer isolation matrix (ctest -L mvcc)"
 # paths where a stale Node* or double-free would hide.
 cmake --build "$SAN_DIR" -j "$JOBS" --target isolation_matrix_test
 ctest --test-dir "$SAN_DIR" -L mvcc --output-on-failure -j "$JOBS"
+
+step "sanitizer slab storage (ctest -L xml)"
+# A slab page reserves its capacity but constructs a slot only when bump
+# allocation reaches it, so a read of a reserved-but-unconstructed slot,
+# a Clone that copies past the used slots, or a page that reallocates
+# under a live Node* shows up here. The query differential test runs the
+# same slab through random documents and WAL replays into fresh ones.
+cmake --build "$SAN_DIR" -j "$JOBS" --target xml_test query_diff_test
+ctest --test-dir "$SAN_DIR" -L xml --output-on-failure -j "$JOBS"
 
 step "thread sanitizer (-DAXMLX_SANITIZE=thread) + fault/mvcc/runtime suites"
 # TSan is the dynamic half of the concurrency scaffolding for the

@@ -1,6 +1,7 @@
 #include "xml/document.h"
 
 #include <algorithm>
+#include <iterator>
 #include <sstream>
 
 #include "common/strings.h"
@@ -11,17 +12,33 @@ namespace {
 
 /// Well-known AXML names, interned by every document in this fixed order so
 /// the kNameAxml* constants in node.h hold everywhere.
-constexpr const char* kReservedNames[kNumReservedNames] = {
+constexpr std::string_view kReservedNames[kNumReservedNames] = {
     "axml:sc", "axml:params", "axml:catch", "axml:catchAll", "axml:retry"};
+
+/// Name-table capacity reserved at construction: the reserved names plus
+/// room for a small fragment's own tags before the tables regrow.
+constexpr size_t kInitialNames = 16;
+
+/// The reserved id of `name`, or kNoName. The reserved names resolve
+/// against this fixed table rather than a document's hash map, so a new
+/// document makes no hash insert for them.
+NameId ReservedNameId(std::string_view name) {
+  if (!name.starts_with("axml:")) return kNoName;
+  for (NameId id = 0; id < kNumReservedNames; ++id) {
+    if (name == kReservedNames[id]) return id;
+  }
+  return kNoName;
+}
 
 const std::string kEmptyName;
 
 }  // namespace
 
 Document::Document(const std::string& root_name) {
-  for (const char* reserved : kReservedNames) {
-    (void)InternName(reserved);
-  }
+  names_.reserve(kInitialNames);
+  name_index_.reserve(kInitialNames);
+  names_.assign(std::begin(kReservedNames), std::end(kReservedNames));
+  name_index_.resize(kNumReservedNames);
   root_ = CreateElement(root_name);
 }
 
@@ -32,9 +49,11 @@ std::unique_ptr<Document> Document::Clone() const {
   copy->live_nodes_ = live_nodes_;
   copy->pages_.reserve(pages_.size());
   for (const auto& page : pages_) {
-    auto new_page = std::make_unique<Node[]>(kPageSize);
-    std::copy(page.get(), page.get() + kPageSize, new_page.get());
-    copy->pages_.push_back(std::move(new_page));
+    // Copy only the constructed slots, into a page of full capacity so the
+    // copy's later bump allocations never reallocate it.
+    std::vector<Node>& new_page = copy->pages_.emplace_back();
+    new_page.reserve(kPageSize);
+    new_page.insert(new_page.end(), page.begin(), page.end());
   }
   copy->slots_used_ = slots_used_;
   copy->free_slots_ = free_slots_;
@@ -138,6 +157,9 @@ size_t Document::VersionRecordCount() const {
 }
 
 NameId Document::InternName(std::string_view name) {
+  if (NameId reserved = ReservedNameId(name); reserved != kNoName) {
+    return reserved;
+  }
   auto it = name_ids_.find(name);
   if (it != name_ids_.end()) return it->second;
   NameId id = static_cast<NameId>(names_.size());
@@ -148,6 +170,9 @@ NameId Document::InternName(std::string_view name) {
 }
 
 NameId Document::FindNameId(std::string_view name) const {
+  if (NameId reserved = ReservedNameId(name); reserved != kNoName) {
+    return reserved;
+  }
   auto it = name_ids_.find(name);
   return it == name_ids_.end() ? kNoName : it->second;
 }
@@ -165,9 +190,11 @@ uint32_t Document::AllocSlot() {
     return slot;
   }
   if (slots_used_ == pages_.size() * kPageSize) {
-    pages_.push_back(std::make_unique<Node[]>(kPageSize));
+    pages_.emplace_back().reserve(kPageSize);
     ++storage_stats_.pages_allocated;
   }
+  // Within the reserved capacity: never reallocates, so Node* stay put.
+  pages_.back().emplace_back();
   uint32_t slot = slots_used_++;
   slot_gen_.push_back(0);
   return slot;

@@ -41,13 +41,14 @@ struct ReadView {
 /// the compensation log, or a service invocation result. A fragment is
 /// simply a document whose root carries the fragment's top-level nodes.
 ///
-/// Storage layout (DESIGN.md §8): nodes live in slab pages — fixed-size
-/// arrays of `Node` — with a free list of reusable slots. A `NodeId` maps
-/// to its slot through dense per-id arrays with a generation check, so
-/// `Find` is two array reads, stale ids of destroyed nodes resolve to
-/// nullptr, and `Node*` handles stay valid until the node is destroyed
-/// (pages are never moved or shrunk). Ids are still never reused, which the
-/// paper's compensation contract (§3.1) relies on.
+/// Storage layout (DESIGN.md §8): nodes live in slab pages — fixed-capacity
+/// buffers of `Node`, each constructed slot by slot as allocation reaches
+/// it — with a free list of reusable slots. A `NodeId` maps to its slot
+/// through dense per-id arrays with a generation check, so `Find` is two
+/// array reads, stale ids of destroyed nodes resolve to nullptr, and
+/// `Node*` handles stay valid until the node is destroyed (a page's buffer
+/// is never moved, grown past its capacity or shrunk). Ids are still never
+/// reused, which the paper's compensation contract (§3.1) relies on.
 ///
 /// Tag names are interned in a per-document string table (`NameId`), and an
 /// incidence index `NameId -> node ids` accelerates descendant-axis query
@@ -312,8 +313,9 @@ class Document {
     return pages_[slot >> kPageBits][slot & kPageMask];
   }
 
-  /// Grabs a free slot (free list first, else bump allocation, growing the
-  /// slab by one page when full).
+  /// Grabs a free slot (free list first, else bump allocation, which
+  /// constructs the slot's `Node` and opens a new page when the last is
+  /// full).
   uint32_t AllocSlot();
 
   /// Maps `id` to `slot` in the id->slot arrays, growing them as needed and
@@ -371,8 +373,11 @@ class Document {
   NodeId root_ = kNullNode;
   size_t live_nodes_ = 0;
 
-  // Slab storage + free list.
-  std::vector<std::unique_ptr<Node[]>> pages_;
+  // Slab storage + free list. Each page reserves kPageSize slots and every
+  // page but the last is full; slots below slots_used_ are constructed (live
+  // or on the free list), none above, so a small document pays for the
+  // nodes it has, not for kPageSize.
+  std::vector<std::vector<Node>> pages_;
   uint32_t slots_used_ = 0;  ///< High-water mark of ever-touched slots.
   std::vector<uint32_t> free_slots_;
   std::vector<uint32_t> slot_gen_;  ///< [slot] -> current generation.
@@ -382,7 +387,9 @@ class Document {
   std::vector<uint32_t> slot_of_id_;
   std::vector<uint32_t> gen_of_id_;
 
-  // Interned tag names.
+  // Interned tag names. names_ starts with the kNumReservedNames reserved
+  // spellings; name_ids_ maps only the others (reserved ones resolve
+  // against a fixed table).
   std::vector<std::string> names_;
   std::unordered_map<std::string, NameId, StringHash, StringEq> name_ids_;
 

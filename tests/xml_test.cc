@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "tests/test_data.h"
@@ -428,6 +431,182 @@ TEST(SlabStorage, ImportSubtreeReinternsForeignNames) {
   std::vector<NodeId> players;
   dst.CollectElementsNamed(dst.FindNameId("player"), &players);
   EXPECT_EQ(players.size(), 1u);
+}
+
+TEST(SlabStorage, ReservedNamesHaveFixedIdsInEveryDocument) {
+  const std::pair<NameId, const char*> reserved[] = {
+      {kNameAxmlSc, "axml:sc"},
+      {kNameAxmlParams, "axml:params"},
+      {kNameAxmlCatch, "axml:catch"},
+      {kNameAxmlCatchAll, "axml:catchAll"},
+      {kNameAxmlRetry, "axml:retry"}};
+  Document doc("r");
+  EXPECT_EQ(doc.interned_names(), kNumReservedNames + 1u);
+  NodeId sc = AddElement(&doc, doc.root(), "axml:sc");
+  NodeId other = AddElement(&doc, doc.root(), "axml:other");
+  auto clone = doc.Clone();
+  for (const Document* d : {&doc, clone.get()}) {
+    for (const auto& [id, spelling] : reserved) {
+      EXPECT_EQ(d->FindNameId(spelling), id) << spelling;
+      EXPECT_EQ(d->NameOf(id), spelling);
+    }
+    EXPECT_EQ(d->Find(sc)->name_id, kNameAxmlSc);
+    EXPECT_GE(d->Find(other)->name_id, kNumReservedNames);
+    EXPECT_EQ(d->FindNameId("axml:"), kNoName);
+    std::vector<NodeId> calls;
+    d->CollectElementsNamed(kNameAxmlSc, &calls);
+    EXPECT_EQ(calls, std::vector<NodeId>{sc});
+  }
+  // Interning a reserved spelling never adds a table entry.
+  EXPECT_EQ(doc.InternName("axml:retry"), kNameAxmlRetry);
+  EXPECT_EQ(doc.interned_names(), kNumReservedNames + 2u);
+}
+
+/// A three-page document: 1200 <item i=".."> elements under the root, with
+/// every 7th one (i % 7 == 3) deleted again, leaving free-list holes in
+/// every page. `*ids` gets all 1200 ids in creation order, `*deleted` the
+/// deleted ones.
+Document MakeHoledDocument(std::vector<NodeId>* ids,
+                           std::vector<NodeId>* deleted) {
+  Document doc("r");
+  for (int i = 0; i < 1200; ++i) {
+    NodeId id = AddElement(&doc, doc.root(), "item");
+    EXPECT_TRUE(doc.SetAttribute(id, "i", std::to_string(i)).ok());
+    ids->push_back(id);
+  }
+  for (size_t i = 3; i < ids->size(); i += 7) {
+    EXPECT_TRUE(doc.RemoveSubtree((*ids)[i]).ok());
+    deleted->push_back((*ids)[i]);
+  }
+  return doc;
+}
+
+TEST(SlabStorage, CloneOfHoledMultiPageDocumentKeepsIdsAndHoles) {
+  std::vector<NodeId> ids, deleted;
+  Document doc = MakeHoledDocument(&ids, &deleted);
+  ASSERT_EQ(doc.storage_stats().pages_allocated, 3);
+  auto clone = doc.Clone();
+  EXPECT_TRUE(Document::Equals(doc, *clone));
+  EXPECT_EQ(clone->size(), doc.size());
+  for (NodeId id : ids) {
+    const Node* a = doc.Find(id);
+    const Node* b = clone->Find(id);
+    ASSERT_EQ(a == nullptr, b == nullptr) << "id " << id;
+    if (a == nullptr) continue;
+    EXPECT_NE(a, b);  // the clone owns its own pages
+    EXPECT_EQ(b->name, "item");
+    EXPECT_EQ(b->attributes, a->attributes);
+    EXPECT_EQ(b->parent, clone->root());
+  }
+  for (NodeId id : deleted) {
+    EXPECT_EQ(doc.Find(id), nullptr);
+    EXPECT_EQ(clone->Find(id), nullptr);
+  }
+}
+
+TEST(SlabStorage, CloneRefillsItsOwnHolesBeforeGrowingPastAPage) {
+  std::vector<NodeId> ids, deleted;
+  Document doc = MakeHoledDocument(&ids, &deleted);
+  auto clone = doc.Clone();
+  const NodeId first = ids.front();
+  const NodeId last = ids.back();  // in the partly used third page
+  ASSERT_NE(clone->Find(last), nullptr);
+  const Node* doc_first = doc.Find(first);
+  const Node* doc_last = doc.Find(last);
+  const Node* clone_first = clone->Find(first);
+  const Node* clone_last = clone->Find(last);
+  const Document::StorageStats before = clone->storage_stats();
+
+  // Exactly the holes are served from the clone's free list, no new page.
+  for (size_t i = 0; i < deleted.size(); ++i) {
+    AddElement(clone.get(), clone->root(), "refill");
+  }
+  EXPECT_EQ(clone->storage_stats().slots_reused - before.slots_reused,
+            static_cast<int64_t>(deleted.size()));
+  EXPECT_EQ(clone->storage_stats().pages_allocated, before.pages_allocated);
+
+  // Then bump allocation fills the third page (1201 of 1536 slots used) and
+  // opens a fourth.
+  for (int i = 0; i < 600; ++i) AddElement(clone.get(), clone->root(), "grow");
+  EXPECT_EQ(clone->storage_stats().pages_allocated,
+            before.pages_allocated + 1);
+  EXPECT_EQ(clone->Find(first), clone_first);
+  EXPECT_EQ(clone->Find(last), clone_last);
+  EXPECT_EQ(*clone_last->FindAttribute("i"), "1199");
+
+  // The original's holes are its own: still free, still reused first.
+  EXPECT_EQ(doc.storage_stats().slots_reused, before.slots_reused);
+  for (size_t i = 0; i < deleted.size(); ++i) {
+    AddElement(&doc, doc.root(), "refill");
+  }
+  EXPECT_EQ(doc.storage_stats().slots_reused - before.slots_reused,
+            static_cast<int64_t>(deleted.size()));
+  EXPECT_EQ(doc.storage_stats().pages_allocated, before.pages_allocated);
+  EXPECT_EQ(doc.Find(first), doc_first);
+  EXPECT_EQ(doc.Find(last), doc_last);
+  EXPECT_EQ(*doc_last->FindAttribute("i"), "1199");
+}
+
+TEST(SlabStorage, RestoreSubtreeIntoFreshOnePageDocumentKeepsIds) {
+  Document src("r");
+  // Push the subtree's ids past anything the fresh document holds.
+  for (int i = 0; i < 600; ++i) AddElement(&src, src.root(), "pad");
+  NodeId team = AddElement(&src, src.root(), "team");
+  NodeId player = AddTextElement(&src, team, "player", "x");
+  auto detached = DetachSubtree(&src, team);
+  ASSERT_TRUE(detached.ok());
+  const DetachedSubtree& subtree = detached->subtree;
+  ASSERT_EQ(subtree.size(), 3u);
+
+  Document fresh("r");
+  ASSERT_TRUE(fresh
+                  .RestoreSubtree(subtree.nodes, subtree.root, fresh.root(),
+                                  0)
+                  .ok());
+  EXPECT_EQ(fresh.storage_stats().pages_allocated, 1);
+  EXPECT_EQ(fresh.size(), 4u);
+  NodeId max_restored = kNullNode;
+  for (const Node& record : subtree.nodes) {
+    max_restored = std::max(max_restored, record.id);
+    const Node* restored = fresh.Find(record.id);
+    ASSERT_NE(restored, nullptr) << "id " << record.id;
+    EXPECT_EQ(restored->name, record.name);
+    EXPECT_EQ(restored->children, record.children);
+  }
+  EXPECT_EQ(fresh.Find(team)->parent, fresh.root());
+  EXPECT_EQ(fresh.TextContent(player), "x");
+  std::vector<NodeId> players;
+  fresh.CollectElementsNamed(fresh.FindNameId("player"), &players);
+  EXPECT_EQ(players, std::vector<NodeId>{player});
+  // Fresh ids continue past the restored ones.
+  EXPECT_GT(fresh.CreateElement("next"), max_restored);
+}
+
+TEST(SlabStorage, MovedDocumentKeepsNodeHandles) {
+  Document doc("r");
+  NodeId first = AddElement(&doc, doc.root(), "first");
+  for (int i = 0; i < 600; ++i) AddElement(&doc, doc.root(), "n");
+  NodeId last = AddElement(&doc, doc.root(), "last");  // second page
+  const Node* p_first = doc.Find(first);
+  const Node* p_last = doc.Find(last);
+
+  Document moved(std::move(doc));
+  EXPECT_EQ(moved.Find(first), p_first);
+  EXPECT_EQ(moved.Find(last), p_last);
+
+  Document assigned("other");
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.Find(first), p_first);
+  EXPECT_EQ(assigned.Find(last), p_last);
+
+  // Growth after the move fills the second page and opens a third; the
+  // handles stay put.
+  for (int i = 0; i < 600; ++i) AddElement(&assigned, assigned.root(), "m");
+  EXPECT_EQ(assigned.storage_stats().pages_allocated, 3);
+  EXPECT_EQ(assigned.Find(first), p_first);
+  EXPECT_EQ(assigned.Find(last), p_last);
+  EXPECT_EQ(p_first->name, "first");
+  EXPECT_EQ(p_last->name, "last");
 }
 
 // --- Snapshot reads (FindAt) -------------------------------------------------
